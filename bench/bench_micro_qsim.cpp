@@ -2,10 +2,12 @@
 // full QuGeoVQC ansatz execution, adjoint gradients, encoder synthesis —
 // the quantities behind the QuBatch complexity argument (Sec. 3.3.3).
 //
-// The binary doubles as the CI perf gate for gradient-plan fusion: after
-// the benchmark run, main() re-times the frozen-heavy adjoint gradient
-// with and without the plan and exits non-zero below 1.3x — the speedup
-// the fused training path is built to deliver on frozen-heavy shapes.
+// The binary doubles as two CI perf gates. After the benchmark run, main()
+// re-times the frozen-heavy adjoint gradient with and without the plan and
+// exits non-zero below 1.3x — the speedup the fused training path is built
+// to deliver on frozen-heavy shapes. It also exits non-zero when one
+// adjoint_backward on the paper's ansatz costs more than 5x one
+// run_circuit (the single-pass sweep's budget).
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
@@ -286,10 +288,71 @@ int adjoint_fusion_guard() {
   return 0;
 }
 
+/// CI perf gate: on the paper's 8-qubit, 12-block ansatz one
+/// adjoint_backward must cost at most 5x one run_circuit. The single-pass
+/// sweep visits each trainable gate's index pairs once; a sweep that goes
+/// back to one pass per parameter slot lands near 11x. Best-of-R timing of
+/// K calls each.
+int adjoint_cost_guard() {
+  using clock = std::chrono::steady_clock;
+  const core::QubitLayout layout({8}, 0);
+  core::AnsatzConfig cfg;
+  cfg.blocks = 12;
+  const qsim::Circuit c = build_qugeo_ansatz(layout, cfg);
+  std::vector<Real> params(c.num_params());
+  Rng rng(23);
+  rng.fill_uniform(params, -1, 1);
+  std::vector<Real> g(256);
+  rng.fill_uniform(g, -1, 1);
+  qsim::StateVector psi_out(8);
+  qsim::run_circuit(c, params, psi_out);
+  const auto cot = qsim::cotangent_from_probability_grads(psi_out, g);
+
+  constexpr int kReps = 5;
+  constexpr int kIters = 200;
+  constexpr double kMaxRatio = 5.0;
+  const auto best_of = [&](const auto& body) {
+    double best = 1e300;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto t0 = clock::now();
+      for (int it = 0; it < kIters; ++it) body();
+      const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
+      best = std::min(best, dt.count());
+    }
+    return best;
+  };
+  const auto forward = [&] {
+    qsim::StateVector psi(8);
+    qsim::run_circuit(c, params, psi);
+    benchmark::DoNotOptimize(psi.amplitudes().data());
+  };
+  const auto backward = [&] {
+    const auto adj = qsim::adjoint_backward(c, params, psi_out, cot);
+    benchmark::DoNotOptimize(adj.param_grads.data());
+  };
+
+  best_of(backward);  // warm caches/pages before the measured passes
+  const double forward_ms = best_of(forward);
+  const double backward_ms = best_of(backward);
+  const double ratio = backward_ms / forward_ms;
+  std::printf(
+      "adjoint cost guard: 8q/12-block ansatz, %d x run_circuit %.3f ms, "
+      "%d x adjoint_backward %.3f ms (%.2fx, need <= %.1fx)\n",
+      kIters, forward_ms, kIters, backward_ms, ratio, kMaxRatio);
+  if (ratio > kMaxRatio) {
+    std::fprintf(stderr, "adjoint cost guard FAILED: %.2fx > allowed %.1fx\n",
+                 ratio, kMaxRatio);
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const int rc = qugeo::bench::run_micro_benchmarks(argc, argv);
   if (rc != 0) return rc;
-  return adjoint_fusion_guard();
+  const int fusion_rc = adjoint_fusion_guard();
+  const int cost_rc = adjoint_cost_guard();
+  return fusion_rc != 0 ? fusion_rc : cost_rc;
 }

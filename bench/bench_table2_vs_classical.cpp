@@ -95,6 +95,6 @@ int main() {
   std::printf("\nExpected shape: Q-M-LY decisively beats Q-M-PX; against the "
               "parameter-matched CNNs the ordering is budget-sensitive — at "
               "short budgets the CNNs lead, at 200+ epochs Q-M-LY overtakes "
-              "as the CNNs overfit (see EXPERIMENTS.md).\n");
+              "as the CNNs overfit.\n");
   return 0;
 }

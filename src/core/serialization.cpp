@@ -37,7 +37,7 @@ class CheckpointReader {
       : bytes_(bytes), path_(std::move(path)) {}
 
   void read(void* out, std::size_t n) {
-    if (pos_ + n > bytes_.size())
+    if (n > remaining())  // pos_ <= size always, so this cannot wrap
       throw CheckpointError(
           CheckpointFault::kMalformed,
           "checkpoint " + path_ + ": payload ends mid-field (offset " +
@@ -54,10 +54,27 @@ class CheckpointReader {
     return v;
   }
 
+  /// Read a file-supplied element count and check that `count` records of
+  /// `record_bytes` each fit in what is left of the payload, before anyone
+  /// allocates for them.
+  std::size_t get_count(std::size_t record_bytes, const char* what) {
+    const auto count = get<std::uint64_t>();
+    if (count > remaining() / record_bytes)
+      throw CheckpointError(
+          CheckpointFault::kMalformed,
+          "checkpoint " + path_ + ": " + what + " count " +
+              std::to_string(count) + " overruns the " +
+              std::to_string(remaining()) + " bytes left in the payload");
+    return static_cast<std::size_t>(count);
+  }
+
+  /// Read `n` reals; `n` must come from get_count.
   void read_reals(std::vector<Real>& out, std::size_t n) {
     out.resize(n);
     read(out.data(), n * sizeof(Real));
   }
+
+  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   const std::vector<unsigned char>& bytes_;
@@ -233,11 +250,13 @@ TrainCheckpoint load_train_checkpoint(const std::filesystem::path& path) {
   for (std::uint64_t& s : ck.shuffle_rng.s) s = r.get<std::uint64_t>();
   ck.shuffle_rng.has_cached_normal = r.get<std::uint8_t>() != 0;
   ck.shuffle_rng.cached_normal = r.get<Real>();
-  const auto n_params = static_cast<std::size_t>(r.get<std::uint64_t>());
+  // params, adam_m and adam_v: three reals per parameter.
+  const std::size_t n_params = r.get_count(3 * sizeof(Real), "parameter");
   r.read_reals(ck.params, n_params);
   r.read_reals(ck.adam_m, n_params);
   r.read_reals(ck.adam_v, n_params);
-  const auto n_curve = static_cast<std::size_t>(r.get<std::uint64_t>());
+  // One (train_loss, test_ssim, test_mse) record per epoch.
+  const std::size_t n_curve = r.get_count(3 * sizeof(Real), "curve record");
   if (n_curve != ck.epochs_completed)
     throw CheckpointError(
         CheckpointFault::kMalformed,

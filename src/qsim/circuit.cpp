@@ -68,6 +68,21 @@ void Circuit::u3(Index q, ParamRef p) {
   ops_.push_back(op);
 }
 
+void Circuit::u3(Index q, const std::array<ParamRef, 3>& slots,
+                 const std::array<Real, 3>& literals) {
+  check_qubit(q);
+  Op op;
+  op.kind = GateKind::kU3;
+  op.qubits = {q, 0};
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (slots[i].id != kLiteralParam && slots[i].id >= num_params_)
+      throw std::out_of_range("Circuit: unallocated parameter reference");
+    op.param_ids[i] = slots[i].id;
+    op.literals[i] = slots[i].id == kLiteralParam ? literals[i] : Real(0);
+  }
+  ops_.push_back(op);
+}
+
 void Circuit::cry(Index control, Index target, Real angle) {
   push2(GateKind::kCRY, control, target);
   ops_.back().literals[0] = angle;

@@ -95,8 +95,13 @@ class Circuit {
   void rx(Index q, ParamRef p) { push_rot(GateKind::kRX, q, p); }
   void ry(Index q, ParamRef p) { push_rot(GateKind::kRY, q, p); }
   void rz(Index q, ParamRef p) { push_rot(GateKind::kRZ, q, p); }
+  void phase(Index q, ParamRef p) { push_rot(GateKind::kPhase, q, p); }
   /// U3 consuming three consecutive parameter slots starting at p.
   void u3(Index q, ParamRef p);
+  /// U3 with each angle chosen on its own: slots[i] names a trainable
+  /// parameter, or is ParamRef{} (kLiteralParam) to use literals[i].
+  void u3(Index q, const std::array<ParamRef, 3>& slots,
+          const std::array<Real, 3>& literals);
   void cry(Index control, Index target, ParamRef p);
   /// CU3 consuming three consecutive parameter slots starting at p.
   void cu3(Index control, Index target, ParamRef p);

@@ -4,9 +4,13 @@
 // programs: starting from the cotangent lambda_k = dL/d(conj(psi_k)) at the
 // output, gates are un-applied one at a time; at each parameterized gate the
 // contribution dL/dtheta = 2 Re <lambda | dU/dtheta | psi_before> is
-// accumulated. Memory is O(2^n) regardless of depth, and cost is O(ops)
-// state-vector passes — the same asymptotics TorchQuantum's autograd
-// achieves, without storing intermediate states.
+// accumulated. A parameterized gate costs one pass over the index pairs it
+// touches: each pair of psi and lambda is loaded once, rewound by U^dagger,
+// and folded into the 2x2 sum G(a, b) = sum conj(lambda_a) psi_before_b;
+// every slot's gradient is then 2 Re sum_ab dU_ab G_ab, four complex
+// products per slot per gate, so the pass costs the same for one slot or
+// three. Other ops rewind psi and lambda with the forward kernels. Memory
+// is O(2^n) regardless of depth, without storing intermediate states.
 #pragma once
 
 #include <span>

@@ -228,50 +228,70 @@ Mat2 gate_matrix(GateKind kind, std::span<const Real> params) {
   throw std::invalid_argument("gate_matrix: unknown kind");
 }
 
-Mat2 gate_matrix_deriv(GateKind kind, std::span<const Real> params,
-                       int param_index) {
-  assert(param_index >= 0 && param_index < gate_param_count(kind));
+GateDerivs gate_matrix_derivs(GateKind kind, std::span<const Real> params) {
+  assert(static_cast<int>(params.size()) >= gate_param_count(kind));
+  // Each case spells U exactly as gate_matrix does, so the adjoint sweep's
+  // rewind uses the same matrix as apply_op_inverse.
+  GateDerivs d;
   switch (kind) {
     case GateKind::kRX: {
-      const Real c = std::cos(params[0] / 2) / 2, s = std::sin(params[0] / 2) / 2;
-      return make({-s, 0}, {0, -c}, {0, -c}, {-s, 0});
+      const Real c = std::cos(params[0] / 2), s = std::sin(params[0] / 2);
+      d.u = make({c, 0}, {0, -s}, {0, -s}, {c, 0});
+      d.du[0] = make({-s / 2, 0}, {0, -c / 2}, {0, -c / 2}, {-s / 2, 0});
+      return d;
     }
     case GateKind::kRY:
     case GateKind::kCRY: {
-      const Real c = std::cos(params[0] / 2) / 2, s = std::sin(params[0] / 2) / 2;
-      return make({-s, 0}, {-c, 0}, {c, 0}, {-s, 0});
+      const Real c = std::cos(params[0] / 2), s = std::sin(params[0] / 2);
+      d.u = make({c, 0}, {-s, 0}, {s, 0}, {c, 0});
+      d.du[0] = make({-s / 2, 0}, {-c / 2, 0}, {c / 2, 0}, {-s / 2, 0});
+      return d;
     }
     case GateKind::kRZ: {
-      return make(Complex{0, -0.5} * std::exp(-kI1 * (params[0] / 2)), {0, 0},
-                  {0, 0}, Complex{0, 0.5} * std::exp(kI1 * (params[0] / 2)));
+      const Complex e0 = std::exp(-kI1 * (params[0] / 2));
+      const Complex e1 = std::exp(kI1 * (params[0] / 2));
+      d.u = make(e0, {0, 0}, {0, 0}, e1);
+      d.du[0] = make(Complex{0, -0.5} * e0, {0, 0}, {0, 0}, Complex{0, 0.5} * e1);
+      return d;
     }
-    case GateKind::kPhase:
-      return make({0, 0}, {0, 0}, {0, 0}, kI1 * std::exp(kI1 * params[0]));
+    case GateKind::kPhase: {
+      const Complex e = std::exp(kI1 * params[0]);
+      d.u = make({1, 0}, {0, 0}, {0, 0}, e);
+      d.du[0] = make({0, 0}, {0, 0}, {0, 0}, kI1 * e);
+      return d;
+    }
     case GateKind::kU3:
     case GateKind::kCU3: {
-      const Real th = params[0], ph = params[1], la = params[2];
-      const Real c = std::cos(th / 2), s = std::sin(th / 2);
-      switch (param_index) {
-        case 0:  // d/d(theta)
-          return make(Complex{-s / 2, 0}, -std::exp(kI1 * la) * (c / 2),
-                      std::exp(kI1 * ph) * (c / 2),
-                      -std::exp(kI1 * (ph + la)) * (s / 2));
-        case 1:  // d/d(phi)
-          return make({0, 0}, {0, 0}, kI1 * std::exp(kI1 * ph) * s,
-                      kI1 * std::exp(kI1 * (ph + la)) * c);
-        case 2:  // d/d(lambda)
-          return make({0, 0}, -kI1 * std::exp(kI1 * la) * s, {0, 0},
-                      kI1 * std::exp(kI1 * (ph + la)) * c);
-        default:
-          break;
-      }
-      break;
+      // u3_matrix's terms, each evaluated once. phi and lambda only rotate
+      // phases, so their derivatives are i times entries of U.
+      const Real c = std::cos(params[0] / 2), s = std::sin(params[0] / 2);
+      const Complex e_la = std::exp(kI1 * params[2]);
+      const Complex e_ph = std::exp(kI1 * params[1]);
+      const Complex e_sum = std::exp(kI1 * (params[1] + params[2]));
+      d.u = make(Complex{c, 0}, -e_la * s, e_ph * s, e_sum * c);
+      d.du[0] = make(Complex{-s / 2, 0}, -e_la * (c / 2), e_ph * (c / 2),
+                     -e_sum * (s / 2));
+      d.du[1] = make({0, 0}, {0, 0}, kI1 * d.u(1, 0), kI1 * d.u(1, 1));
+      d.du[2] = make({0, 0}, kI1 * d.u(0, 1), {0, 0}, kI1 * d.u(1, 1));
+      return d;
     }
-    default:
-      throw std::invalid_argument(
-          "gate_matrix_deriv: kind has no parameter derivative");
+    case GateKind::kI:
+    case GateKind::kX:
+    case GateKind::kY:
+    case GateKind::kZ:
+    case GateKind::kH:
+    case GateKind::kS:
+    case GateKind::kSdg:
+    case GateKind::kT:
+    case GateKind::kTdg:
+    case GateKind::kCX:
+    case GateKind::kCZ:
+    case GateKind::kSWAP:
+    case GateKind::kFused2Q:
+    case GateKind::kFusedCtl2Q:
+      break;
   }
-  throw std::invalid_argument("gate_matrix_deriv: non-differentiable kind/index");
+  throw std::invalid_argument("gate_matrix_derivs: kind has no parameters");
 }
 
 Mat2 dagger(const Mat2& u) noexcept {

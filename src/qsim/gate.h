@@ -97,9 +97,17 @@ struct Mat4 {
 /// (for controlled kinds, the inner gate's parameters).
 [[nodiscard]] Mat2 gate_matrix(GateKind kind, std::span<const Real> params);
 
-/// Analytic derivative of gate_matrix with respect to params[param_index].
-[[nodiscard]] Mat2 gate_matrix_deriv(GateKind kind, std::span<const Real> params,
-                                     int param_index);
+/// A parameterized gate's 2x2 block together with its analytic derivative
+/// with respect to every parameter slot.
+struct GateDerivs {
+  Mat2 u;                  ///< bit-identical to gate_matrix(kind, params)
+  std::array<Mat2, 3> du;  ///< du[s] = dU/d(params[s]), s < gate_param_count
+};
+
+/// gate_matrix and all of its slot derivatives from one evaluation of the
+/// trig terms. Throws std::invalid_argument for kinds without parameters.
+[[nodiscard]] GateDerivs gate_matrix_derivs(GateKind kind,
+                                            std::span<const Real> params);
 
 /// Hermitian conjugate.
 [[nodiscard]] Mat2 dagger(const Mat2& u) noexcept;

@@ -20,6 +20,8 @@
 
 #include <immintrin.h>
 
+#include "common/math_utils.h"
+
 namespace qugeo::qsim {
 namespace {
 
@@ -59,6 +61,126 @@ inline void pair_update(double* p0, double* p1, const CVec& u00,
   _mm256_storeu_pd(p0, _mm256_add_pd(cmul_vec(u00, a0), cmul_vec(u01, a1)));
   _mm256_storeu_pd(p1, _mm256_add_pd(cmul_vec(u10, a0), cmul_vec(u11, a1)));
 }
+
+/// conj(a) * b over two interleaved complexes (cmul_conj per lane).
+inline __m256d cmul_conj_vec(__m256d a, __m256d b) {
+  const __m256d a_re = _mm256_movedup_pd(a);          // [ar0 ar0 ar1 ar1]
+  const __m256d a_im = _mm256_permute_pd(a, 0b1111);  // [ai0 ai0 ai1 ai1]
+  const __m256d b_sw = _mm256_permute_pd(b, 0b0101);  // [bi0 br0 bi1 br1]
+  return _mm256_fmsubadd_pd(a_re, b, _mm256_mul_pd(a_im, b_sw));
+}
+
+/// Complex at `i` and complex at `j` as the two lanes of one vector.
+inline __m256d load_two(const double* a, Index i, Index j) {
+  return _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(a + 2 * i)),
+                              _mm_loadu_pd(a + 2 * j), 1);
+}
+
+inline void store_two(double* a, Index i, Index j, __m256d v) {
+  _mm_storeu_pd(a + 2 * i, _mm256_castpd256_pd128(v));
+  _mm_storeu_pd(a + 2 * j, _mm256_extractf128_pd(v, 1));
+}
+
+/// Complex at `i` in the low lane, zero in the high lane.
+inline __m256d load_one(const double* a, Index i) {
+  return _mm256_insertf128_pd(_mm256_setzero_pd(), _mm_loadu_pd(a + 2 * i), 0);
+}
+
+inline void store_one(double* a, Index i, __m256d v) {
+  _mm_storeu_pd(a + 2 * i, _mm256_castpd256_pd128(v));
+}
+
+Complex lane_sum(__m256d v) {
+  alignas(16) double s[2];
+  _mm_store_pd(s, _mm_add_pd(_mm256_castpd256_pd128(v),
+                             _mm256_extractf128_pd(v, 1)));
+  return {s[0], s[1]};
+}
+
+/// One adjoint pair sweep: U^dagger broadcast once, G accumulated per
+/// complex lane and folded in result(). step() takes two pairs lane-wise —
+/// p0/p1 hold psi at (i0, i1), l0/l1 lambda — and rewinds them in place.
+/// A zero lane contributes nothing to G, which is how a lone pair runs.
+class AdjointSweep {
+ public:
+  explicit AdjointSweep(const Mat2& ud)
+      : u00_(broadcast_c(ud(0, 0))),
+        u01_(broadcast_c(ud(0, 1))),
+        u10_(broadcast_c(ud(1, 0))),
+        u11_(broadcast_c(ud(1, 1))) {}
+
+  void step(__m256d& p0, __m256d& p1, __m256d& l0, __m256d& l1) {
+    const __m256d n0 = _mm256_add_pd(cmul_vec(u00_, p0), cmul_vec(u01_, p1));
+    const __m256d n1 = _mm256_add_pd(cmul_vec(u10_, p0), cmul_vec(u11_, p1));
+    g00_ = _mm256_add_pd(g00_, cmul_conj_vec(l0, n0));
+    g01_ = _mm256_add_pd(g01_, cmul_conj_vec(l0, n1));
+    g10_ = _mm256_add_pd(g10_, cmul_conj_vec(l1, n0));
+    g11_ = _mm256_add_pd(g11_, cmul_conj_vec(l1, n1));
+    p0 = n0;
+    p1 = n1;
+    const __m256d m0 = _mm256_add_pd(cmul_vec(u00_, l0), cmul_vec(u01_, l1));
+    l1 = _mm256_add_pd(cmul_vec(u10_, l0), cmul_vec(u11_, l1));
+    l0 = m0;
+  }
+
+  /// Pairs (i0, i0 + d) and (i0 + 1, i0 + 1 + d): contiguous runs.
+  void run_contiguous(double* psi, double* lambda, Index i0, Index d) {
+    double* p0 = psi + 2 * i0;
+    double* p1 = psi + 2 * (i0 + d);
+    double* l0 = lambda + 2 * i0;
+    double* l1 = lambda + 2 * (i0 + d);
+    __m256d vp0 = _mm256_loadu_pd(p0), vp1 = _mm256_loadu_pd(p1);
+    __m256d vl0 = _mm256_loadu_pd(l0), vl1 = _mm256_loadu_pd(l1);
+    step(vp0, vp1, vl0, vl1);
+    _mm256_storeu_pd(p0, vp0);
+    _mm256_storeu_pd(p1, vp1);
+    _mm256_storeu_pd(l0, vl0);
+    _mm256_storeu_pd(l1, vl1);
+  }
+
+  /// The `count` pairs (first(j), first(j) | tmask), two per step from
+  /// 128-bit halves; an odd last pair runs alone in the low lane.
+  template <typename First>
+  void run_gathered(double* psi, double* lambda, Index count, Index tmask,
+                    First first) {
+    Index j = 0;
+    for (; j + 2 <= count; j += 2) {
+      const Index a0 = first(j), b0 = first(j + 1);
+      const Index a1 = a0 | tmask, b1 = b0 | tmask;
+      __m256d vp0 = load_two(psi, a0, b0), vp1 = load_two(psi, a1, b1);
+      __m256d vl0 = load_two(lambda, a0, b0), vl1 = load_two(lambda, a1, b1);
+      step(vp0, vp1, vl0, vl1);
+      store_two(psi, a0, b0, vp0);
+      store_two(psi, a1, b1, vp1);
+      store_two(lambda, a0, b0, vl0);
+      store_two(lambda, a1, b1, vl1);
+    }
+    if (j < count) {
+      const Index a0 = first(j), a1 = a0 | tmask;
+      __m256d vp0 = load_one(psi, a0), vp1 = load_one(psi, a1);
+      __m256d vl0 = load_one(lambda, a0), vl1 = load_one(lambda, a1);
+      step(vp0, vp1, vl0, vl1);
+      store_one(psi, a0, vp0);
+      store_one(psi, a1, vp1);
+      store_one(lambda, a0, vl0);
+      store_one(lambda, a1, vl1);
+    }
+  }
+
+  [[nodiscard]] Mat2 result() const {
+    Mat2 g;
+    g(0, 0) = lane_sum(g00_);
+    g(0, 1) = lane_sum(g01_);
+    g(1, 0) = lane_sum(g10_);
+    g(1, 1) = lane_sum(g11_);
+    return g;
+  }
+
+ private:
+  CVec u00_, u01_, u10_, u11_;
+  __m256d g00_ = _mm256_setzero_pd(), g01_ = _mm256_setzero_pd();
+  __m256d g10_ = _mm256_setzero_pd(), g11_ = _mm256_setzero_pd();
+};
 
 }  // namespace
 
@@ -295,6 +417,49 @@ void apply_block_diag_2q_avx2(Complex* amps, Index n, const Mat2& u0,
   }
 }
 
+Mat2 adjoint_sweep_1q_avx2(Complex* psi, Complex* lambda, Index n,
+                           const Mat2& ud, Index q) {
+  double* p = reinterpret_cast<double*>(psi);
+  double* l = reinterpret_cast<double*>(lambda);
+  const Index stride = Index{1} << q;
+  AdjointSweep sweep(ud);
+  if (stride >= 2) {
+    for (Index base = 0; base < n; base += 2 * stride)
+      for (Index i0 = base; i0 < base + stride; i0 += 2)
+        sweep.run_contiguous(p, l, i0, stride);
+  } else {
+    sweep.run_gathered(p, l, n / 2, 1, [](Index j) { return 2 * j; });
+  }
+  return sweep.result();
+}
+
+Mat2 adjoint_sweep_controlled_1q_avx2(Complex* psi, Complex* lambda, Index n,
+                                      const Mat2& ud, Index control,
+                                      Index target) {
+  double* p = reinterpret_cast<double*>(psi);
+  double* l = reinterpret_cast<double*>(lambda);
+  const Index cmask = Index{1} << control;
+  const Index tmask = Index{1} << target;
+  const Index lo = control < target ? control : target;
+  const Index hi = control < target ? target : control;
+  const Index mlo = Index{1} << lo;
+  const Index mhi = Index{1} << hi;
+  AdjointSweep sweep(ud);
+  if (lo >= 1) {
+    // Runs of mlo >= 2 base indices, as in apply_controlled_1q_avx2.
+    for (Index base = 0; base < n; base += 2 * mhi)
+      for (Index mid = base; mid < base + mhi; mid += 2 * mlo)
+        for (Index i = mid; i < mid + mlo; i += 2)
+          sweep.run_contiguous(p, l, i | cmask, tmask);
+  } else {
+    // control == 0 (odd, stride-2 pairs) or target == 0 (adjacent pairs).
+    sweep.run_gathered(p, l, n / 4, tmask, [=](Index j) {
+      return insert_two_zero_bits(j, lo, hi) | cmask;
+    });
+  }
+  return sweep.result();
+}
+
 void batched_apply_1q_avx2(Real* re, Real* im, Index dim, std::size_t lanes,
                            const Mat2& u, Index q) {
   const Index stride = Index{1} << q;
@@ -377,6 +542,13 @@ void apply_matrix2q_avx2(Complex*, Index, const Mat4&, Index, Index) {
 }
 void apply_block_diag_2q_avx2(Complex*, Index, const Mat2&, const Mat2&, Index,
                               Index) {
+  no_avx2();
+}
+Mat2 adjoint_sweep_1q_avx2(Complex*, Complex*, Index, const Mat2&, Index) {
+  no_avx2();
+}
+Mat2 adjoint_sweep_controlled_1q_avx2(Complex*, Complex*, Index, const Mat2&,
+                                      Index, Index) {
   no_avx2();
 }
 void batched_apply_1q_avx2(Real*, Real*, Index, std::size_t, const Mat2&,

@@ -123,12 +123,14 @@ void emit_op(Circuit& result, const Op& op, const Circuit& source) {
                 : result.rz(op.qubits[0], op.literals[0]);
       break;
     case GateKind::kPhase:
-      result.phase(op.qubits[0], op.literals[0]);
+      trainable ? result.phase(op.qubits[0], ParamRef{op.param_ids[0]})
+                : result.phase(op.qubits[0], op.literals[0]);
       break;
     case GateKind::kU3:
-      trainable ? result.u3(op.qubits[0], ParamRef{op.param_ids[0]})
-                : result.u3(op.qubits[0], op.literals[0], op.literals[1],
-                            op.literals[2]);
+      result.u3(op.qubits[0],
+                {ParamRef{op.param_ids[0]}, ParamRef{op.param_ids[1]},
+                 ParamRef{op.param_ids[2]}},
+                op.literals);
       break;
     case GateKind::kCX: result.cx(op.qubits[0], op.qubits[1]); break;
     case GateKind::kCZ: result.cz(op.qubits[0], op.qubits[1]); break;

@@ -9,10 +9,11 @@
 // an unsupported build is a logic error (the stub definitions throw).
 //
 // Numerical contract: each variant evaluates the same per-amplitude
-// formulas as its scalar twin; the only difference is FMA contraction, so
-// results match scalar to <= 1e-12 per amplitude (pinned by
-// test_qsim_kernels' *_avx2 equivalence cases, enforced by qugeo-lint
-// rule 6).
+// formulas as its scalar twin; the only difference is FMA contraction (and,
+// for the adjoint sweep's contraction, summation order), so results match
+// scalar to <= 1e-12 per amplitude (pinned by the *_avx2 equivalence cases
+// in test_qsim_kernels and test_qsim_gradient_conformance, enforced by
+// qugeo-lint rule 6).
 #pragma once
 
 #include <cstddef>
@@ -46,6 +47,21 @@ void apply_matrix2q_avx2(Complex* amps, Index n, const Mat4& u, Index q0,
 /// inside this TU.
 void apply_block_diag_2q_avx2(Complex* amps, Index n, const Mat2& u0,
                               const Mat2& u1, Index control, Index target);
+
+/// AVX2 twin of the adjoint sweep's per-gate pair pass (executor.cpp).
+/// Over every index pair (i0, i0 | 1 << q) it rewinds `psi` and `lambda`
+/// in place by `ud` (= U^dagger) and returns
+/// G(a, b) = sum conj(lambda_a) psi'_b, with lambda read before its rewind
+/// and psi' after. Contiguous pairs (q >= 1) move two per __m256d load;
+/// q == 0 gathers two adjacent pairs per vector from 128-bit halves.
+Mat2 adjoint_sweep_1q_avx2(Complex* psi, Complex* lambda, Index n,
+                           const Mat2& ud, Index q);
+
+/// As adjoint_sweep_1q_avx2 over the control=|1> pairs of a controlled
+/// gate (control == 0 and target == 0 use the 128-bit gather).
+Mat2 adjoint_sweep_controlled_1q_avx2(Complex* psi, Complex* lambda, Index n,
+                                      const Mat2& ud, Index control,
+                                      Index target);
 
 /// Lane-vectorized 1q kernel over BatchedStateVector's SoA storage
 /// (amplitude-major, lane-minor): four batch lanes per __m256d, pure

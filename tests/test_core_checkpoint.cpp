@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -219,6 +221,75 @@ TEST_F(CheckpointTest, FingerprintAndConfigMismatchAreDistinct) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_NE(events[0].detail.find("config-mismatch"), std::string::npos)
       << events[0].detail;
+}
+
+/// Overwrite the little-endian u64 at `offset` of a checkpoint's framed
+/// payload and re-frame it, so the CRC is valid and only the field lies.
+/// Returns the value it replaced.
+std::uint64_t patch_u64(const std::filesystem::path& path, std::size_t offset,
+                        std::uint64_t value) {
+  FramedPayload frame = read_framed_file(path);
+  std::uint64_t old = 0;
+  std::memcpy(&old, frame.payload.data() + offset, sizeof(old));
+  std::memcpy(frame.payload.data() + offset, &value, sizeof(value));
+  write_framed_file(path, frame.version, frame.payload);
+  return old;
+}
+
+// Payload offsets (see save_train_checkpoint): magic 4, version 4, two
+// fingerprints, epochs_completed, adam_t, four RNG words, the cached-normal
+// flag byte and value, then the parameter count.
+constexpr std::size_t kEpochsOffset = 4 + 4 + 8 + 8;
+constexpr std::size_t kParamCountOffset = kEpochsOffset + 8 + 8 + 32 + 1 + 8;
+
+TEST_F(CheckpointTest, InflatedCountsAreMalformedNotAllocated) {
+  const TrainCheckpoint ck = sample_checkpoint();
+  const std::size_t n = ck.params.size();
+  const std::size_t curve_count_offset =
+      kParamCountOffset + 8 + 3 * n * sizeof(Real);
+  // A parameter count, or a matching epoch and curve count, far beyond the
+  // payload: each used to reach resize() and throw bad_alloc/length_error.
+  for (const std::uint64_t huge :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+    const auto params_path = dir_ / "params";
+    save_train_checkpoint(params_path, ck);
+    ASSERT_EQ(patch_u64(params_path, kParamCountOffset, huge), n);
+    const auto curve_path = dir_ / "curve";
+    save_train_checkpoint(curve_path, ck);
+    ASSERT_EQ(patch_u64(curve_path, kEpochsOffset, huge), ck.epochs_completed);
+    ASSERT_EQ(patch_u64(curve_path, curve_count_offset, huge),
+              ck.curve.size());
+    for (const auto& path : {params_path, curve_path}) {
+      try {
+        (void)load_train_checkpoint(path);
+        FAIL() << path << " loaded with count " << huge;
+      } catch (const CheckpointError& e) {
+        EXPECT_EQ(e.fault(), CheckpointFault::kMalformed) << e.what();
+      }
+    }
+  }
+}
+
+TEST_F(CheckpointTest, ResumeFallsBackPastInflatedCountSlot) {
+  TrainCheckpoint newest = sample_checkpoint();
+  newest.epochs_completed = 3;
+  newest.curve.push_back({0.7, 0.7, 0.15});
+  save_train_checkpoint(checkpoint_slot_path(dir_ / "run", 0),
+                        sample_checkpoint());
+  save_train_checkpoint(checkpoint_slot_path(dir_ / "run", 1), newest);
+  patch_u64(checkpoint_slot_path(dir_ / "run", 1), kParamCountOffset,
+            std::uint64_t{1} << 60);
+
+  fault::clear_degradation_events();
+  const auto best =
+      find_resume_checkpoint(dir_ / "run", 2, newest.model_fp, newest.train_fp);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->epochs_completed, 2u);  // the older-but-valid slot
+  const auto events = fault::degradation_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_NE(events[0].detail.find("malformed"), std::string::npos)
+      << events[0].detail;
+  EXPECT_NE(events[0].detail.find("run.1"), std::string::npos);
 }
 
 // ------------------------------------------------- degradation ladder --

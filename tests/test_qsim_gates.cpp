@@ -96,7 +96,12 @@ class GateDerivTest
 TEST_P(GateDerivTest, MatchesFiniteDifference) {
   const auto [kind, slot, angle] = GetParam();
   std::array<Real, 3> params{angle, 0.4, -0.9};
-  const Mat2 analytic = gate_matrix_deriv(kind, params, slot);
+  const GateDerivs derivs = gate_matrix_derivs(kind, params);
+  const Mat2 analytic = derivs.du[static_cast<std::size_t>(slot)];
+
+  // The matrix that rides along is gate_matrix's, bit for bit.
+  const Mat2 u = gate_matrix(kind, params);
+  for (std::size_t k = 0; k < 4; ++k) EXPECT_EQ(derivs.u.m[k], u.m[k]);
 
   const Real eps = 1e-6;
   std::array<Real, 3> plus = params, minus = params;
@@ -129,6 +134,13 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(GateKind::kCU3, 0, -1.2),
         std::make_tuple(GateKind::kCU3, 1, -1.2),
         std::make_tuple(GateKind::kCU3, 2, -1.2)));
+
+TEST(GateDerivs, KindsWithoutParametersThrow) {
+  for (const GateKind kind : {GateKind::kH, GateKind::kCX, GateKind::kSWAP,
+                              GateKind::kFused2Q})
+    EXPECT_THROW((void)gate_matrix_derivs(kind, {}), std::invalid_argument)
+        << gate_name(kind);
+}
 
 TEST(GateMeta, ParamCounts) {
   EXPECT_EQ(gate_param_count(GateKind::kX), 0);
