@@ -236,11 +236,24 @@ void BM_MarginalProbabilities(benchmark::State& state) {
 }
 BENCHMARK(BM_MarginalProbabilities)->Arg(8)->Arg(12)->Arg(16);
 
+/// Best of five wall times, in ms, of `iters` back-to-back calls of `body`.
+template <typename Body>
+double best_of_ms(int iters, const Body& body) {
+  using clock = std::chrono::steady_clock;
+  double best = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = clock::now();
+    for (int it = 0; it < iters; ++it) body();
+    const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
+    best = std::min(best, dt.count());
+  }
+  return best;
+}
+
 /// CI perf gate: the gradient-plan form of the frozen-heavy adjoint
 /// gradient must be >= 1.3x faster than the verbatim op stream. Best-of-R
 /// timing of K full gradients each (forward + reverse sweep).
 int adjoint_fusion_guard() {
-  using clock = std::chrono::steady_clock;
   const qsim::Circuit source = frozen_heavy_ansatz(8, 12, 21);
   const qsim::GradientPlan plan = qsim::GradientPlan::build(source);
   const qsim::Circuit& fused = plan.execution_form(source);
@@ -250,24 +263,16 @@ int adjoint_fusion_guard() {
   std::vector<Real> g(256);
   rng.fill_uniform(g, -1, 1);
 
-  constexpr int kReps = 5;
   constexpr int kIters = 60;
   constexpr double kRequiredSpeedup = 1.3;
   const auto best_of = [&](const qsim::Circuit& c) {
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = clock::now();
-      for (int it = 0; it < kIters; ++it) {
-        qsim::StateVector psi(8);
-        qsim::run_circuit(c, params, psi);
-        const auto cot = qsim::cotangent_from_probability_grads(psi, g);
-        const auto adj = qsim::adjoint_backward(c, params, std::move(psi), cot);
-        benchmark::DoNotOptimize(adj.param_grads.data());
-      }
-      const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
-      best = std::min(best, dt.count());
-    }
-    return best;
+    return best_of_ms(kIters, [&] {
+      qsim::StateVector psi(8);
+      qsim::run_circuit(c, params, psi);
+      const auto cot = qsim::cotangent_from_probability_grads(psi, g);
+      const auto adj = qsim::adjoint_backward(c, params, std::move(psi), cot);
+      benchmark::DoNotOptimize(adj.param_grads.data());
+    });
   };
 
   best_of(source);  // warm caches/pages before the measured passes
@@ -291,10 +296,8 @@ int adjoint_fusion_guard() {
 /// CI perf gate: on the paper's 8-qubit, 12-block ansatz one
 /// adjoint_backward must cost at most 5x one run_circuit. The single-pass
 /// sweep visits each trainable gate's index pairs once; a sweep that goes
-/// back to one pass per parameter slot lands near 11x. Best-of-R timing of
-/// K calls each.
+/// back to one pass per parameter slot lands near 11x.
 int adjoint_cost_guard() {
-  using clock = std::chrono::steady_clock;
   const core::QubitLayout layout({8}, 0);
   core::AnsatzConfig cfg;
   cfg.blocks = 12;
@@ -308,19 +311,8 @@ int adjoint_cost_guard() {
   qsim::run_circuit(c, params, psi_out);
   const auto cot = qsim::cotangent_from_probability_grads(psi_out, g);
 
-  constexpr int kReps = 5;
   constexpr int kIters = 200;
   constexpr double kMaxRatio = 5.0;
-  const auto best_of = [&](const auto& body) {
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = clock::now();
-      for (int it = 0; it < kIters; ++it) body();
-      const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
-      best = std::min(best, dt.count());
-    }
-    return best;
-  };
   const auto forward = [&] {
     qsim::StateVector psi(8);
     qsim::run_circuit(c, params, psi);
@@ -331,9 +323,9 @@ int adjoint_cost_guard() {
     benchmark::DoNotOptimize(adj.param_grads.data());
   };
 
-  best_of(backward);  // warm caches/pages before the measured passes
-  const double forward_ms = best_of(forward);
-  const double backward_ms = best_of(backward);
+  best_of_ms(kIters, backward);  // warm caches/pages before measuring
+  const double forward_ms = best_of_ms(kIters, forward);
+  const double backward_ms = best_of_ms(kIters, backward);
   const double ratio = backward_ms / forward_ms;
   std::printf(
       "adjoint cost guard: 8q/12-block ansatz, %d x run_circuit %.3f ms, "
