@@ -14,10 +14,10 @@
 //          v                     forcing avx2 without support degrades
 //   thread-local override  >  process-global default  ->  SimdLevel
 //
-// The scalar level reproduces the pre-SIMD results bit-exactly (the scalar
-// kernel bodies are untouched); the AVX2 level matches scalar to <= 1e-12
-// per amplitude (FMA contraction is the only difference), pinned by
-// test_qsim_kernels.
+// The scalar level reproduces the pre-SIMD forward-kernel results
+// bit-exactly (the scalar kernel bodies are untouched); the AVX2 level
+// matches scalar to <= 1e-12 per amplitude (FMA contraction is the only
+// difference), pinned by test_qsim_kernels.
 #pragma once
 
 #include <cstdint>
