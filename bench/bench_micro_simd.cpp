@@ -1,17 +1,12 @@
-// Microbenchmarks of the explicit SIMD layer and the batched (SoA)
-// multi-state executor: the scalar vs AVX2 single-state kernels, the
-// order-8 FDTD sweep under both dispatch levels, and the batched 1q sweep
-// against the equivalent loop over independent statevectors. Merges into
-// BENCH_micro.json like every micro suite.
+// Microbenchmarks of the explicit SIMD layer: the scalar vs AVX2
+// single-state 1q and dense 2q kernels. Merges into BENCH_micro.json like
+// every micro suite.
 //
 // The binary doubles as the CI perf gate (mirroring bench_micro_fusion's
-// fusion guard): after the benchmark run, main() re-times the hot kernels
-// directly and exits non-zero on AVX2 hardware unless, against the
-// pre-SIMD scalar single-state baselines,
-//   - the dense 2q AVX2 kernel is >= 1.5x the scalar kernel, and
-//   - the batched 1q sweep at 8 lanes is >= 2x the looped scalar
-//     single-state form (the path those states took before batching).
-// On machines without AVX2+FMA the guard prints a skip notice and passes.
+// fusion guard): after the benchmark run, main() re-times the dense 2q
+// kernel directly and exits non-zero on AVX2 hardware unless the AVX2
+// kernel is >= 1.5x the pre-SIMD scalar kernel. On machines without
+// AVX2+FMA the guard prints a skip notice and passes.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
@@ -21,7 +16,6 @@
 
 #include "common/cpu_features.h"
 #include "common/rng.h"
-#include "qsim/batched_statevector.h"
 #include "qsim/gate.h"
 #include "qsim/statevector.h"
 
@@ -101,40 +95,6 @@ void BM_SimdApplyMatrix2QAvx2(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdApplyMatrix2QAvx2)->Arg(12)->Arg(16);
 
-/// The batched SoA sweep: one dispatch moves all lanes of the group.
-void BM_BatchedApply1Q(benchmark::State& state) {
-  const Index qubits = 8;
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  qsim::BatchedStateVector batch(qubits, lanes);
-  const qsim::Mat2 u = test_u3();
-  Index q = 0;
-  for (auto _ : state) {
-    batch.apply_1q(u, q);
-    q = (q + 1) % qubits;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch.dim() * lanes));
-}
-BENCHMARK(BM_BatchedApply1Q)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
-
-/// The loop the batched sweep replaces: the same gate applied to the same
-/// number of independent single statevectors.
-void BM_LoopedApply1Q(benchmark::State& state) {
-  const Index qubits = 8;
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  std::vector<qsim::StateVector> states;
-  for (std::size_t l = 0; l < lanes; ++l) states.emplace_back(qubits);
-  const qsim::Mat2 u = test_u3();
-  Index q = 0;
-  for (auto _ : state) {
-    for (auto& psi : states) psi.apply_1q(u, q);
-    q = (q + 1) % qubits;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(states[0].dim() * lanes));
-}
-BENCHMARK(BM_LoopedApply1Q)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
-
 /// CI perf gate for the SIMD layer. Best-of-R timing of K kernel sweeps,
 /// the same shape as bench_micro_fusion's fusion_speedup_guard.
 int simd_speedup_guard() {
@@ -187,62 +147,13 @@ int simd_speedup_guard() {
       "(%.2fx, need >= 1.50x)\n",
       scalar_2q_ms, avx2_2q_ms, speedup_2q);
 
-  // Gate 2: batched 1q at 8 lanes >= 2x the looped single-state form.
-  const qsim::Mat2 u2 = test_u3();
-  constexpr Index kQubits = 8;
-  constexpr std::size_t kLanes = 8;
-  constexpr int kIters1Q = 4000;
-  qsim::BatchedStateVector batch(kQubits, kLanes);
-  std::vector<qsim::StateVector> states;
-  for (std::size_t l = 0; l < kLanes; ++l) states.emplace_back(kQubits);
-  const auto sweep_batched = [&] {
-    Index q = 0;
-    for (int it = 0; it < kIters1Q; ++it) {
-      batch.apply_1q(u2, q);
-      q = (q + 1) % kQubits;
-    }
-    benchmark::DoNotOptimize(batch.re_data());
-  };
-  const auto sweep_looped = [&] {
-    Index q = 0;
-    for (int it = 0; it < kIters1Q; ++it) {
-      for (auto& s : states) s.apply_1q(u2, q);
-      q = (q + 1) % kQubits;
-    }
-    benchmark::DoNotOptimize(states[0].amplitudes().data());
-  };
-  // Baseline = the pre-SIMD execution of the same 8 states: one scalar
-  // single-state sweep per lane. The batched sweep runs under the default
-  // (AVX2) dispatch — the combined SIMD + SoA win is what the gate pins.
-  double looped_ms = 0;
-  {
-    const simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
-    best_of(sweep_looped);
-    looped_ms = best_of(sweep_looped);
-  }
-  best_of(sweep_batched);
-  const double batched_ms = best_of(sweep_batched);
-  const double speedup_batched = looped_ms / batched_ms;
-  std::printf(
-      "simd guard: 1q at batch %zu on %zu qubits, looped scalar %.3f ms, "
-      "batched %.3f ms (%.2fx, need >= 2.00x)\n",
-      kLanes, static_cast<std::size_t>(kQubits), looped_ms, batched_ms,
-      speedup_batched);
-
-  int rc = 0;
   if (speedup_2q < 1.5) {
     std::fprintf(stderr,
                  "simd guard FAILED: dense 2q avx2 speedup %.2fx < 1.50x\n",
                  speedup_2q);
-    rc = 1;
+    return 1;
   }
-  if (speedup_batched < 2.0) {
-    std::fprintf(stderr,
-                 "simd guard FAILED: batched 1q speedup %.2fx < 2.00x\n",
-                 speedup_batched);
-    rc = 1;
-  }
-  return rc;
+  return 0;
 }
 
 }  // namespace

@@ -12,8 +12,6 @@
 
 #include "common/cpu_features.h"
 #include "core/experiment.h"
-#include "qsim/batched_executor.h"
-#include "qsim/batched_statevector.h"
 #include "qsim/executor.h"
 #include "qsim/optimizer.h"
 
@@ -114,36 +112,17 @@ int main() {
                 frozen.num_ops(), off_ms, fused.num_ops(), on_ms,
                 off_ms / on_ms);
 
-    // ...and the two layers underneath it (docs/ARCHITECTURE.md, "SIMD &
-    // batching"): the same fused forward on the scalar reference kernels
-    // vs the auto-dispatched ones, then 8 states swept by one batched
-    // (SoA) pass vs 8 sequential scalar single-state forwards.
+    // ...and the SIMD layer underneath it (docs/ARCHITECTURE.md, "SIMD
+    // kernels"): the same fused forward on the scalar reference kernels vs
+    // the auto-dispatched ones.
     const double scalar_ms = [&] {
       simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
       return time_forward(fused);
     }();
     const double auto_ms = time_forward(fused);  // process-default dispatch
-    constexpr std::size_t kLanes = 8;
-    const double batched_ms = [&] {
-      using clock = std::chrono::steady_clock;
-      double best = 1e300;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = clock::now();
-        for (int it = 0; it < 20; ++it) {
-          qsim::BatchedStateVector batch(fused.num_qubits(), kLanes);
-          qsim::run_circuit_batched(fused, {}, batch);
-        }
-        const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
-        best = std::min(best, dt.count() / 20);
-      }
-      return best / static_cast<double>(kLanes);  // per state
-    }();
-    std::printf("  kernels: scalar %.3f ms | %s %.3f ms (%.2fx) | "
-                "batched x%zu %.3f ms/state (%.2fx vs scalar)\n",
-                scalar_ms,
+    std::printf("  kernels: scalar %.3f ms | %s %.3f ms (%.2fx)\n", scalar_ms,
                 simd::simd_level_name(simd::active_level()).data(), auto_ms,
-                scalar_ms / auto_ms, kLanes, batched_ms,
-                scalar_ms / batched_ms);
+                scalar_ms / auto_ms);
   }
 
   std::printf("\nDone. Next: examples/fwi_inversion for the full comparison, "

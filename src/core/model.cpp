@@ -96,35 +96,6 @@ std::vector<Real> QuGeoModel::run_forward_probabilities(
       });
 }
 
-std::vector<std::vector<Real>> QuGeoModel::run_forward_probabilities_batched(
-    std::span<const std::vector<const data::ScaledSample*>> chunks,
-    const qsim::ExecutionConfig& exec, std::uint64_t stream) const {
-  qsim::ExecutionConfig group_exec = exec;
-  if (!group_exec.compile_cache) group_exec.compile_cache = compile_cache_;
-  // Same salt derivation as the chunk-at-a-time path (inert on the exact
-  // deterministic backend this path is gated to, kept for config parity).
-  std::uint64_t z = exec.seed + 0x9e3779b97f4a7c15ULL * (stream + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  group_exec.seed = z ^ (z >> 31);
-  return fault::retry_on_transient(
-      "batched circuit execution (chunk stream " + std::to_string(stream) + ")",
-      fault::RetryPolicy{}, [&]() -> std::vector<std::vector<Real>> {
-        std::vector<qsim::StateVector> states;
-        states.reserve(chunks.size());
-        for (const auto& chunk : chunks) {
-          std::vector<const std::vector<Real>*> waves(chunk.size());
-          for (std::size_t i = 0; i < chunk.size(); ++i)
-            waves[i] = &chunk[i]->waveform;
-          states.push_back(encoder_.encode(waves));
-        }
-        const auto backend =
-            qsim::make_backend(group_exec, layout_.total_qubits());
-        return backend->run_batched_probabilities(ansatz_, theta_,
-                                                  std::move(states));
-      });
-}
-
 std::vector<std::vector<Real>> QuGeoModel::predict(
     std::span<const data::ScaledSample* const> samples) const {
   return predict_with(samples, exec_);
@@ -139,48 +110,15 @@ std::vector<std::vector<Real>> QuGeoModel::predict_with(
   // the pool. Every chunk writes its own slice of `out`, so the result is
   // identical for any QUGEO_THREADS value.
   std::vector<std::vector<Real>> out(samples.size());
-  // Chunk grouping for batched execution: only the deterministic exact
-  // path qualifies (the statevector backend with exact readout — with
-  // shots or a sampling backend, grouping would collapse the per-chunk
-  // seed salts into one stream and correlate the chunks' noise
-  // realizations). group == 1 is the chunk-at-a-time path, unchanged.
-  const std::size_t group =
-      (exec.batch > 1 && exec.backend == qsim::BackendKind::kStatevector &&
-       exec.shots == 0)
-          ? exec.batch
-          : 1;
-  if (group <= 1) {
-    parallel_for(0, num_chunks, [&](std::size_t ci) {
-      const std::size_t pos = ci * bs;
-      std::vector<const data::ScaledSample*> chunk(bs);
-      for (std::size_t b = 0; b < bs; ++b)
-        chunk[b] = samples[std::min(pos + b, samples.size() - 1)];
-      const std::vector<Real> probs = run_forward_probabilities(chunk, exec, ci);
-      DecodeResult dec = decoder_->decode(std::span<const Real>(probs));
-      for (std::size_t b = 0; b < bs && pos + b < samples.size(); ++b)
-        out[pos + b] = std::move(dec.predictions[b]);
-    });
-    return out;
-  }
-  const std::size_t num_groups = (num_chunks + group - 1) / group;
-  parallel_for(0, num_groups, [&](std::size_t gi) {
-    const std::size_t c0 = gi * group;
-    const std::size_t gchunks = std::min(group, num_chunks - c0);
-    std::vector<std::vector<const data::ScaledSample*>> chunks(gchunks);
-    for (std::size_t c = 0; c < gchunks; ++c) {
-      const std::size_t pos = (c0 + c) * bs;
-      chunks[c].resize(bs);
-      for (std::size_t b = 0; b < bs; ++b)
-        chunks[c][b] = samples[std::min(pos + b, samples.size() - 1)];
-    }
-    const std::vector<std::vector<Real>> probs =
-        run_forward_probabilities_batched(chunks, exec, c0);
-    for (std::size_t c = 0; c < gchunks; ++c) {
-      const std::size_t pos = (c0 + c) * bs;
-      DecodeResult dec = decoder_->decode(std::span<const Real>(probs[c]));
-      for (std::size_t b = 0; b < bs && pos + b < samples.size(); ++b)
-        out[pos + b] = std::move(dec.predictions[b]);
-    }
+  parallel_for(0, num_chunks, [&](std::size_t ci) {
+    const std::size_t pos = ci * bs;
+    std::vector<const data::ScaledSample*> chunk(bs);
+    for (std::size_t b = 0; b < bs; ++b)
+      chunk[b] = samples[std::min(pos + b, samples.size() - 1)];
+    const std::vector<Real> probs = run_forward_probabilities(chunk, exec, ci);
+    DecodeResult dec = decoder_->decode(std::span<const Real>(probs));
+    for (std::size_t b = 0; b < bs && pos + b < samples.size(); ++b)
+      out[pos + b] = std::move(dec.predictions[b]);
   });
   return out;
 }

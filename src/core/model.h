@@ -53,8 +53,8 @@ struct ModelConfig {
   /// Simulation backend for the inference path (see header comment). The
   /// constructor applies the QUGEO_BACKEND / QUGEO_NOISE_P /
   /// QUGEO_NOISE_CHANNEL / QUGEO_READOUT_P / QUGEO_TRAJECTORIES /
-  /// QUGEO_SHOTS / QUGEO_FUSION / QUGEO_GRAD_FUSION / QUGEO_SIMD /
-  /// QUGEO_BATCH environment overrides on top of this.
+  /// QUGEO_SHOTS / QUGEO_FUSION / QUGEO_GRAD_FUSION / QUGEO_SIMD
+  /// environment overrides on top of this.
   qsim::ExecutionConfig execution;
 };
 
@@ -137,17 +137,6 @@ class QuGeoModel {
   /// across a dataset instead of being perfectly correlated).
   [[nodiscard]] std::vector<Real> run_forward_probabilities(
       std::span<const data::ScaledSample* const> chunk,
-      const qsim::ExecutionConfig& exec, std::uint64_t stream) const;
-
-  /// Batched form of run_forward_probabilities: encode several QuBatch
-  /// chunks and execute them as the lanes of ONE batched backend call
-  /// (Backend::run_batched_probabilities), so each ansatz gate is decoded
-  /// and dispatched once per group instead of once per chunk. Only taken
-  /// on the deterministic exact path (statevector backend, shots == 0 —
-  /// predict_with gates on this), where the per-chunk seed salt is inert;
-  /// results are bit-identical (scalar mode) to the chunk-at-a-time path.
-  [[nodiscard]] std::vector<std::vector<Real>> run_forward_probabilities_batched(
-      std::span<const std::vector<const data::ScaledSample*>> chunks,
       const qsim::ExecutionConfig& exec, std::uint64_t stream) const;
 
   ModelConfig config_;

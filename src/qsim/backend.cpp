@@ -7,7 +7,6 @@
 #include "common/env.h"
 #include "common/fault.h"
 #include "common/parallel.h"
-#include "qsim/batched_executor.h"
 #include "qsim/compile_cache.h"
 #include "qsim/executor.h"
 #include "qsim/optimizer.h"
@@ -106,22 +105,7 @@ ExecutionConfig apply_env_overrides(ExecutionConfig base) {
           std::string("QUGEO_GRAD_FUSION: expected on/off, got '") + f + "'");
   }
   base.simd = simd::simd_mode_from_env(base.simd);
-  base.batch = env::parse_env_positive("QUGEO_BATCH", base.batch);
   return base;
-}
-
-// ------------------------------------------------------------------ Backend --
-
-std::vector<std::vector<Real>> Backend::run_batched_probabilities(
-    const Circuit& circuit, std::span<const Real> params,
-    std::vector<StateVector> initial_states) {
-  std::vector<std::vector<Real>> out;
-  out.reserve(initial_states.size());
-  for (StateVector& psi : initial_states) {
-    run(circuit, params, std::move(psi));
-    out.push_back(probabilities());
-  }
-  return out;
 }
 
 // ------------------------------------------------------ StatevectorBackend --
@@ -155,30 +139,6 @@ void StatevectorBackend::run(const Circuit& circuit,
   std::optional<Circuit> local;
   run_circuit(noiseless_form(circuit, fusion_, cache_, kind(), keepalive, local),
               params, psi_);
-}
-
-std::vector<std::vector<Real>> StatevectorBackend::run_batched_probabilities(
-    const Circuit& circuit, std::span<const Real> params,
-    std::vector<StateVector> initial_states) {
-  if (initial_states.empty()) return {};
-  fault::site("backend.run");
-  std::optional<simd::ScopedSimdMode> scoped;
-  if (simd_ != simd::SimdMode::kAuto) scoped.emplace(simd_);
-  std::shared_ptr<const Circuit> keepalive;
-  std::optional<Circuit> local;
-  const Circuit& exec =
-      noiseless_form(circuit, fusion_, cache_, kind(), keepalive, local);
-  BatchedStateVector batch(circuit.num_qubits(), initial_states.size());
-  for (std::size_t l = 0; l < initial_states.size(); ++l)
-    batch.set_lane(l, initial_states[l]);
-  run_circuit_batched(exec, params, batch);
-  std::vector<std::vector<Real>> out(initial_states.size());
-  for (std::size_t l = 0; l < initial_states.size(); ++l)
-    out[l] = batch.lane_probabilities(l);
-  // Preserve the base-class semantic: the backend's state is the last
-  // executed state (probabilities()/expect_z()/adjoint read it).
-  psi_ = batch.lane_state(initial_states.size() - 1);
-  return out;
 }
 
 std::vector<Real> StatevectorBackend::probabilities() const {
@@ -260,8 +220,7 @@ TrajectoryBackend::TrajectoryBackend(const ExecutionConfig& config)
       seed_(config.seed),
       fusion_(config.fusion),
       cache_(config.compile_cache),
-      simd_(config.simd),
-      batch_(config.batch == 0 ? 1 : config.batch) {}
+      simd_(config.simd) {}
 
 Index TrajectoryBackend::num_qubits() const noexcept { return num_qubits_; }
 
@@ -317,53 +276,20 @@ void TrajectoryBackend::run(const Circuit& circuit,
   // the average is bit-identical for any QUGEO_THREADS value while keeping
   // memory at O(slots * 2^n) instead of O(trajectories * 2^n).
   const std::size_t slots = std::min<std::size_t>(trajectories_, 32);
-  // Each slot advances its strided trajectory subset in groups of up to
-  // batch_ BatchedStateVector lanes: one circuit pass per group instead of
-  // one per trajectory. Lane l of a group is trajectory ts[g + l] with its
-  // own (seed, index) sub-stream, and the group's lanes fold into the
-  // slot accumulator in lane (= trajectory) order, so the result is
-  // bit-identical (scalar mode) to the looped path for any batch width.
-  // Generalized Kraus channels stay on the loop (noise_is_batchable).
-  const std::size_t group_width =
-      noise_is_batchable(noise_) ? std::min(batch_, trajectories_) : 1;
   const simd::SimdMode thread_mode = simd_;
   std::vector<std::vector<Real>> partial(slots);
-  parallel_for(0, slots, [&, thread_mode, group_width](std::size_t s) {
+  parallel_for(0, slots, [&, thread_mode](std::size_t s) {
     // Pool workers do not inherit the caller's thread-local dispatch
     // override; re-install the mode on this thread.
     std::optional<simd::ScopedSimdMode> slot_scoped;
     if (thread_mode != simd::SimdMode::kAuto) slot_scoped.emplace(thread_mode);
     std::vector<Real> acc(dim, Real(0));
-    if (group_width > 1) {
-      std::vector<std::size_t> ts;
-      for (std::size_t t = s; t < trajectories_; t += slots) ts.push_back(t);
-      for (std::size_t g = 0; g < ts.size(); g += group_width) {
-        const std::size_t lanes = std::min(group_width, ts.size() - g);
-        BatchedStateVector bpsi(initial_state.num_qubits(), lanes);
-        std::vector<Rng> rngs;
-        rngs.reserve(lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          bpsi.set_lane(l, initial_state);
-          rngs.push_back(trajectory_rng(seed_, ts[g + l]));
-        }
-        run_circuit_noisy_batched(exec_circuit, params, bpsi, noise_, rngs);
-        const Real* re = bpsi.re_data();
-        const Real* im = bpsi.im_data();
-        for (std::size_t l = 0; l < lanes; ++l)
-          for (Index k = 0; k < dim; ++k) {
-            const Real r = re[k * lanes + l];
-            const Real i = im[k * lanes + l];
-            acc[k] += r * r + i * i;
-          }
-      }
-    } else {
-      for (std::size_t t = s; t < trajectories_; t += slots) {
-        StateVector psi = initial_state;
-        Rng rng = trajectory_rng(seed_, t);
-        run_circuit_noisy(exec_circuit, params, psi, noise_, rng);
-        const auto amps = psi.amplitudes();
-        for (Index k = 0; k < dim; ++k) acc[k] += std::norm(amps[k]);
-      }
+    for (std::size_t t = s; t < trajectories_; t += slots) {
+      StateVector psi = initial_state;
+      Rng rng = trajectory_rng(seed_, t);
+      run_circuit_noisy(exec_circuit, params, psi, noise_, rng);
+      const auto amps = psi.amplitudes();
+      for (Index k = 0; k < dim; ++k) acc[k] += std::norm(amps[k]);
     }
     partial[s] = std::move(acc);
   });

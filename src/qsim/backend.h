@@ -107,12 +107,10 @@ struct ExecutionConfig {
   /// thread-local ScopedSimdMode overrides, so concurrent executions with
   /// different modes do not race.
   simd::SimdMode simd = simd::SimdMode::kAuto;
-  /// Batched-execution width: how many independent states one gate
-  /// dispatch should sweep (BatchedStateVector lanes). 1 executes states
-  /// one at a time (the pre-batching path, bit-identical); QuGeoModel
-  /// groups the samples of each QuBatch chunk and TrajectoryBackend groups
-  /// its trajectories up to this many lanes.
-  std::size_t batch = 1;
+  /// Not a knob: every backend executes one state at a time. The constant
+  /// exists only for the `"batch"` entry of perfbench's run metadata.
+  /// qugeo-lint: no-env(a compile-time constant, not a setting).
+  static constexpr std::size_t batch = 1;
 };
 
 /// Environment overrides for smoke runs and CI: QUGEO_BACKEND
@@ -120,8 +118,7 @@ struct ExecutionConfig {
 /// (real), QUGEO_NOISE_CHANNEL ("depolarizing" | "amplitude_damping" |
 /// "phase_damping"), QUGEO_READOUT_P (real), QUGEO_TRAJECTORIES (integer),
 /// QUGEO_SHOTS (integer, 0 = exact), QUGEO_FUSION ("on"/"off"),
-/// QUGEO_GRAD_FUSION ("on"/"off"), QUGEO_SIMD ("auto" | "avx2" | "scalar"),
-/// QUGEO_BATCH (positive integer lane count).
+/// QUGEO_GRAD_FUSION ("on"/"off"), QUGEO_SIMD ("auto" | "avx2" | "scalar").
 /// Unset variables leave `base` untouched. The full reference table lives
 /// in docs/ARCHITECTURE.md.
 [[nodiscard]] ExecutionConfig apply_env_overrides(ExecutionConfig base);
@@ -171,21 +168,6 @@ class Backend {
     run(circuit, params, StateVector(circuit.num_qubits()));
   }
 
-  /// \brief Execute the circuit once per initial state and return each
-  /// run's Born probabilities, in input order.
-  ///
-  /// The base implementation loops run() + probabilities() — semantically
-  /// the reference for every override, which must match it per state
-  /// (bit-identically in scalar mode). StatevectorBackend overrides it
-  /// with a genuinely batched sweep (BatchedStateVector: one gate dispatch
-  /// advances all states). After the call the backend's current state is
-  /// the LAST executed state, exactly as if run() had been called in a
-  /// loop.
-  [[nodiscard]] virtual std::vector<std::vector<Real>>
-  run_batched_probabilities(const Circuit& circuit,
-                            std::span<const Real> params,
-                            std::vector<StateVector> initial_states);
-
   /// Born probabilities of the executed state (for the trajectory backend:
   /// the trajectory-averaged distribution, an unbiased estimate of the
   /// channel's diagonal).
@@ -211,9 +193,6 @@ class StatevectorBackend final : public Backend {
   using Backend::run;
   void run(const Circuit& circuit, std::span<const Real> params,
            StateVector initial_state) override;
-  [[nodiscard]] std::vector<std::vector<Real>> run_batched_probabilities(
-      const Circuit& circuit, std::span<const Real> params,
-      std::vector<StateVector> initial_states) override;
   [[nodiscard]] std::vector<Real> probabilities() const override;
   [[nodiscard]] std::vector<Real> expect_z(
       std::span<const Index> qubits) const override;
@@ -283,12 +262,6 @@ class TrajectoryBackend final : public Backend {
   bool fusion_;
   std::shared_ptr<CompiledCircuitCache> cache_;
   simd::SimdMode simd_;
-  /// Trajectory-group width: each accumulation slot advances up to this
-  /// many trajectories as BatchedStateVector lanes per circuit pass
-  /// (ExecutionConfig::batch; 1 = the looped pre-batching path). Only
-  /// batchable noise models group — generalized Kraus channels keep the
-  /// per-trajectory loop (batched_executor.h: noise_is_batchable).
-  std::size_t batch_;
   Index num_qubits_ = 0;
   std::vector<Real> mean_probs_;
 };

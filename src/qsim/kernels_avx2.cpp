@@ -460,65 +460,6 @@ Mat2 adjoint_sweep_controlled_1q_avx2(Complex* psi, Complex* lambda, Index n,
   return sweep.result();
 }
 
-void batched_apply_1q_avx2(Real* re, Real* im, Index dim, std::size_t lanes,
-                           const Mat2& u, Index q) {
-  const Index stride = Index{1} << q;
-  const __m256d u00r = _mm256_set1_pd(u(0, 0).real());
-  const __m256d u00i = _mm256_set1_pd(u(0, 0).imag());
-  const __m256d u01r = _mm256_set1_pd(u(0, 1).real());
-  const __m256d u01i = _mm256_set1_pd(u(0, 1).imag());
-  const __m256d u10r = _mm256_set1_pd(u(1, 0).real());
-  const __m256d u10i = _mm256_set1_pd(u(1, 0).imag());
-  const __m256d u11r = _mm256_set1_pd(u(1, 1).real());
-  const __m256d u11i = _mm256_set1_pd(u(1, 1).imag());
-  const Complex u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
-  for (Index base = 0; base < dim; base += stride * 2)
-    for (Index off = 0; off < stride; ++off) {
-      const Index i0 = base + off;
-      const Index i1 = i0 + stride;
-      Real* r0 = re + i0 * lanes;
-      Real* s0 = im + i0 * lanes;
-      Real* r1 = re + i1 * lanes;
-      Real* s1 = im + i1 * lanes;
-      std::size_t l = 0;
-      for (; l + 4 <= lanes; l += 4) {
-        const __m256d vr0 = _mm256_loadu_pd(r0 + l);
-        const __m256d vi0 = _mm256_loadu_pd(s0 + l);
-        const __m256d vr1 = _mm256_loadu_pd(r1 + l);
-        const __m256d vi1 = _mm256_loadu_pd(s1 + l);
-        // new0 = cmul(u00, a0) + cmul(u01, a1), components separated:
-        // pure mul/fma on full lanes — no shuffles at all in SoA form.
-        _mm256_storeu_pd(
-            r0 + l,
-            _mm256_add_pd(_mm256_fnmadd_pd(u00i, vi0, _mm256_mul_pd(u00r, vr0)),
-                          _mm256_fnmadd_pd(u01i, vi1, _mm256_mul_pd(u01r, vr1))));
-        _mm256_storeu_pd(
-            s0 + l,
-            _mm256_add_pd(_mm256_fmadd_pd(u00i, vr0, _mm256_mul_pd(u00r, vi0)),
-                          _mm256_fmadd_pd(u01i, vr1, _mm256_mul_pd(u01r, vi1))));
-        _mm256_storeu_pd(
-            r1 + l,
-            _mm256_add_pd(_mm256_fnmadd_pd(u10i, vi0, _mm256_mul_pd(u10r, vr0)),
-                          _mm256_fnmadd_pd(u11i, vi1, _mm256_mul_pd(u11r, vr1))));
-        _mm256_storeu_pd(
-            s1 + l,
-            _mm256_add_pd(_mm256_fmadd_pd(u10i, vr0, _mm256_mul_pd(u10r, vi0)),
-                          _mm256_fmadd_pd(u11i, vr1, _mm256_mul_pd(u11r, vi1))));
-      }
-      for (; l < lanes; ++l) {
-        const Real ar = r0[l], ai = s0[l], br = r1[l], bi = s1[l];
-        r0[l] = (u00.real() * ar - u00.imag() * ai) +
-                (u01.real() * br - u01.imag() * bi);
-        s0[l] = (u00.real() * ai + u00.imag() * ar) +
-                (u01.real() * bi + u01.imag() * br);
-        r1[l] = (u10.real() * ar - u10.imag() * ai) +
-                (u11.real() * br - u11.imag() * bi);
-        s1[l] = (u10.real() * ai + u10.imag() * ar) +
-                (u11.real() * bi + u11.imag() * br);
-      }
-    }
-}
-
 }  // namespace qugeo::qsim
 
 #else  // !QUGEO_WITH_AVX2_KERNELS
@@ -549,10 +490,6 @@ Mat2 adjoint_sweep_1q_avx2(Complex*, Complex*, Index, const Mat2&, Index) {
 }
 Mat2 adjoint_sweep_controlled_1q_avx2(Complex*, Complex*, Index, const Mat2&,
                                       Index, Index) {
-  no_avx2();
-}
-void batched_apply_1q_avx2(Real*, Real*, Index, std::size_t, const Mat2&,
-                           Index) {
   no_avx2();
 }
 

@@ -16,8 +16,6 @@
 // qugeo-lint rule 6).
 #pragma once
 
-#include <cstddef>
-
 #include "common/types.h"
 #include "qsim/gate.h"
 
@@ -62,12 +60,5 @@ Mat2 adjoint_sweep_1q_avx2(Complex* psi, Complex* lambda, Index n,
 Mat2 adjoint_sweep_controlled_1q_avx2(Complex* psi, Complex* lambda, Index n,
                                       const Mat2& ud, Index control,
                                       Index target);
-
-/// Lane-vectorized 1q kernel over BatchedStateVector's SoA storage
-/// (amplitude-major, lane-minor): four batch lanes per __m256d, pure
-/// mul/fma with no shuffles. `re`/`im` are the deinterleaved amplitude
-/// planes, each dim * lanes long.
-void batched_apply_1q_avx2(Real* re, Real* im, Index dim, std::size_t lanes,
-                           const Mat2& u, Index q);
 
 }  // namespace qugeo::qsim

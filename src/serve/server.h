@@ -7,8 +7,8 @@
 // `max_batch` requests (size trigger) or when the OLDEST queued request
 // has waited `deadline` (latency trigger), whichever comes first — so a
 // lone request is never stranded behind a batch that will not fill, and a
-// hot queue amortizes circuit compilation, gate dispatch, and the SoA
-// batched kernels across the whole group.
+// hot queue hands the whole group to the thread pool in one predict_with
+// call.
 //
 // Backpressure is explicit and non-blocking: once the queue holds
 // `full_threshold` requests, submit() immediately completes the request

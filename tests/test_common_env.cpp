@@ -175,12 +175,6 @@ TEST(Env, BackendKnobsRejectMalformedValues) {
     });
   }
   {
-    EnvGuard guard("QUGEO_BATCH", "4x");
-    expect_rejects_naming("QUGEO_BATCH", [] {
-      (void)qsim::apply_env_overrides(qsim::ExecutionConfig{});
-    });
-  }
-  {
     EnvGuard guard("QUGEO_SHOTS", "-5");
     expect_rejects_naming("QUGEO_SHOTS", [] {
       (void)qsim::apply_env_overrides(qsim::ExecutionConfig{});

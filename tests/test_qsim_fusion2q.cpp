@@ -519,9 +519,8 @@ data::ScaledSample random_sample(std::size_t wave_size, std::size_t vel_size,
 
 /// Clears the QUGEO_* execution overrides for the test's lifetime (this
 /// probe pins exact compile/hit counts, which the CI env-smoke legs —
-/// QUGEO_BACKEND=density, QUGEO_SHOTS=4096, QUGEO_FUSION=off,
-/// QUGEO_BATCH=8 (fewer, wider chunks) — would legitimately change) and
-/// restores them on destruction.
+/// QUGEO_BACKEND=density, QUGEO_SHOTS=4096, QUGEO_FUSION=off — would
+/// legitimately change) and restores them on destruction.
 class ExecEnvGuard {
  public:
   ExecEnvGuard() {
@@ -541,10 +540,10 @@ class ExecEnvGuard {
   }
 
  private:
-  static constexpr std::array<const char*, 9> kVars = {
-      "QUGEO_BACKEND",      "QUGEO_NOISE_P", "QUGEO_NOISE_CHANNEL",
-      "QUGEO_READOUT_P",    "QUGEO_SHOTS",   "QUGEO_TRAJECTORIES",
-      "QUGEO_FUSION",       "QUGEO_SIMD",    "QUGEO_BATCH"};
+  static constexpr std::array<const char*, 8> kVars = {
+      "QUGEO_BACKEND",   "QUGEO_NOISE_P", "QUGEO_NOISE_CHANNEL",
+      "QUGEO_READOUT_P", "QUGEO_SHOTS",   "QUGEO_TRAJECTORIES",
+      "QUGEO_FUSION",    "QUGEO_SIMD"};
   std::vector<std::optional<std::string>> saved_;
 };
 

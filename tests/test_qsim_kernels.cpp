@@ -13,7 +13,6 @@
 #include "common/cpu_features.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
-#include "qsim/batched_statevector.h"
 #include "qsim/executor.h"
 #include "qsim/observables.h"
 #include "qsim/simd_kernels.h"
@@ -470,31 +469,6 @@ TEST(SimdEquivalence, ApplyBlockDiag2QAvx2MatchesScalar) {
         expect_amps_near(got, want.amplitudes(), "apply_block_diag_2q_avx2");
       }
     }
-}
-
-TEST(SimdEquivalence, BatchedApply1QAvx2MatchesScalar) {
-  if (!simd::cpu_supports_avx2())
-    GTEST_SKIP() << "AVX2+FMA not supported on this CPU";
-  Rng rng(35);
-  const Index nq = 5;
-  // Odd lane count exercises the vector tail of the lane loop.
-  const std::size_t lanes = 5;
-  BatchedStateVector batch(nq, lanes);
-  std::vector<std::vector<Complex>> per_lane(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    per_lane[l] = random_amplitudes(batch.dim(), rng);
-    batch.set_lane(l, per_lane[l]);
-  }
-  for (Index q = 0; q < nq; ++q) {
-    const Mat2 u = random_mat2(rng);
-    batched_apply_1q_avx2(batch.re_data(), batch.im_data(), batch.dim(),
-                          batch.lanes(), u, q);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      formula_apply_1q(per_lane[l], u, q);
-      const StateVector got = batch.lane_state(l);
-      expect_amps_near(got.amplitudes(), per_lane[l], "batched_apply_1q_avx2");
-    }
-  }
 }
 
 TEST(SimdEquivalence, Avx2DispatchMatchesScalarOnFullAnsatzRun) {

@@ -1,6 +1,7 @@
-// ModelServer: request/response round trip against direct predict, size-
-// vs deadline-triggered flushes, explicit backpressure, drop accounting,
-// graceful shutdown drain, and fault injection on the serve.enqueue /
+// ModelServer: request/response round trip against direct predict,
+// predictions independent of how requests coalesce, size- vs deadline-
+// triggered flushes, explicit backpressure, drop accounting, graceful
+// shutdown drain, and fault injection on the serve.enqueue /
 // serve.dispatch sites.
 #include <gtest/gtest.h>
 
@@ -125,6 +126,44 @@ TEST(Serve, RoundTripMatchesDirectPredict) {
   EXPECT_EQ(s.batches_dispatched, 1u);
   EXPECT_EQ(s.flush_size, 1u);
   expect_settled_accounting(s);
+}
+
+TEST(Serve, PredictionDoesNotDependOnItsBatch) {
+  Rng rng(15);
+  core::QuGeoModel model(small_config(), rng);
+  // Exact readout: under sampled readout a chunk's seed salt is its
+  // position in the batch, which would differ across coalescings for a
+  // reason unrelated to the kernels.
+  qsim::ExecutionConfig exact = model.execution_config();
+  exact.backend = qsim::BackendKind::kStatevector;
+  exact.shots = 0;
+  model.set_execution_config(exact);
+  const auto samples = make_samples(12, 16);
+  std::vector<const data::ScaledSample*> ptrs;
+  for (const auto& s : samples) ptrs.push_back(&s);
+  const auto direct = model.predict(ptrs);
+
+  // max_batch 1 serves every request alone; max_batch 8 serves a size-
+  // triggered batch of 8 and then drains the last 4 at shutdown.
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{8}}) {
+    ServeConfig sc;
+    sc.max_batch = max_batch;
+    sc.deadline = 10s;
+    sc.queue_capacity = 64;
+    ModelServer server(model, sc);
+    std::vector<std::future<PredictResult>> futures;
+    for (const auto& s : samples) futures.push_back(server.submit(s));
+    server.shutdown();
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      PredictResult r = futures[i].get();
+      ASSERT_EQ(r.status, RequestStatus::kOk);
+      EXPECT_EQ(r.prediction, direct[i])
+          << "sample " << i << " at max_batch " << max_batch;
+    }
+    const ServerStats s = server.stats();
+    EXPECT_EQ(s.batches_dispatched, max_batch == 1 ? 12u : 2u);
+    expect_settled_accounting(s);
+  }
 }
 
 TEST(Serve, DeadlineFlushesShortBatch) {
