@@ -154,8 +154,8 @@ qsim::Circuit frozen_heavy_ansatz(Index qubits, std::size_t blocks,
 }
 
 void BM_AdjointGradientFrozenHeavy(benchmark::State& state) {
-  // Arg 0 = verbatim op stream (QUGEO_GRAD_FUSION=off), Arg 1 = the
-  // gradient-plan form loss_and_gradient executes by default.
+  // Arg 0 = the verbatim op stream (the reference the gate compares
+  // against), Arg 1 = the gradient-plan form loss_and_gradient executes.
   const bool use_plan = state.range(0) != 0;
   const qsim::Circuit source = frozen_heavy_ansatz(8, 12, 21);
   const qsim::GradientPlan plan = qsim::GradientPlan::build(source);

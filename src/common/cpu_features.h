@@ -6,7 +6,7 @@
 // (qsim/kernels_avx2.cpp, seismic/fdtd_avx2.cpp). Which variant runs is a
 // pure runtime decision made per kernel call through active_level():
 //
-//   QUGEO_SIMD / ExecutionConfig::simd   (mode: auto | avx2 | scalar)
+//   QUGEO_SIMD                           (mode: auto | avx2 | scalar)
 //          |
 //          v
 //   resolve_simd_level(mode)  -- auto picks AVX2 iff the CPU supports it
@@ -61,9 +61,9 @@ enum class SimdLevel : std::uint8_t { kScalar, kAvx2 };
 [[nodiscard]] SimdLevel active_level() noexcept;
 
 /// Set the process-global default level (resolving `mode` as above). The
-/// QUGEO_SIMD environment override and tests use this; backends install
-/// thread-local ScopedSimdMode overrides instead so parallel call sites
-/// cannot race on the global.
+/// QUGEO_SIMD environment override and tests use this; code that must
+/// force a level while other threads run installs a thread-local
+/// ScopedSimdMode instead, so it cannot race on the global.
 void set_global_simd_mode(SimdMode mode);
 
 /// Apply the QUGEO_SIMD environment variable ("auto" | "avx2" | "scalar")
@@ -73,8 +73,8 @@ void set_global_simd_mode(SimdMode mode);
 
 /// RAII thread-local dispatch override: every kernel call on this thread
 /// between construction and destruction uses resolve_simd_level(mode).
-/// Nests (the previous override is restored). Used by the backends to
-/// realize ExecutionConfig::simd without touching the process global.
+/// Nests (the previous override is restored). Tests and benches use it to
+/// force a level without touching the process global.
 class ScopedSimdMode {
  public:
   explicit ScopedSimdMode(SimdMode mode);

@@ -60,7 +60,9 @@ Real parse_env_probability(const char* name, Real fallback) {
   if (*v == '\0') reject(name, "a probability in [0, 1]", v);
   char* end = nullptr;
   const Real parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || parsed < 0 || parsed > 1)
+  // Written as a negated range test so NaN, which fails every comparison,
+  // is rejected too.
+  if (end == v || *end != '\0' || !(parsed >= 0 && parsed <= 1))
     reject(name, "a probability in [0, 1]", v);
   return parsed;
 }

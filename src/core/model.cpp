@@ -43,7 +43,6 @@ void QuGeoModel::set_parameters(std::span<const Real> params) {
 
 const qsim::Circuit& QuGeoModel::gradient_form(
     std::shared_ptr<const qsim::GradientPlan>& keepalive) const {
-  if (!exec_.grad_fusion) return ansatz_;
   keepalive = compile_cache_->gradient_plan(ansatz_);
   return keepalive->execution_form(ansatz_);
 }

@@ -20,8 +20,7 @@
 // backend choice governs how the trained model is *read out*. The adjoint
 // pass executes the circuit's GradientPlan (qsim/gradient_plan.h — literal
 // segments between trainable slots fused, memoized in the model's
-// CompiledCircuitCache) unless ExecutionConfig::grad_fusion
-// (QUGEO_GRAD_FUSION) turns it off.
+// CompiledCircuitCache).
 #pragma once
 
 #include <memory>
@@ -53,8 +52,8 @@ struct ModelConfig {
   /// Simulation backend for the inference path (see header comment). The
   /// constructor applies the QUGEO_BACKEND / QUGEO_NOISE_P /
   /// QUGEO_NOISE_CHANNEL / QUGEO_READOUT_P / QUGEO_TRAJECTORIES /
-  /// QUGEO_SHOTS / QUGEO_FUSION / QUGEO_GRAD_FUSION / QUGEO_SIMD
-  /// environment overrides on top of this.
+  /// QUGEO_SHOTS environment overrides on top of this (and rejects a
+  /// malformed QUGEO_SIMD).
   qsim::ExecutionConfig execution;
 };
 
@@ -102,7 +101,7 @@ class QuGeoModel {
 
   /// As predict, but through an explicit ExecutionConfig instead of the
   /// model's configured one — the one-off form the shot/noise ablations
-  /// use (core/shot_readout delegates here).
+  /// use.
   [[nodiscard]] std::vector<std::vector<Real>> predict_with(
       std::span<const data::ScaledSample* const> samples,
       const qsim::ExecutionConfig& exec) const;
@@ -124,9 +123,8 @@ class QuGeoModel {
       std::span<const data::ScaledSample* const> chunk) const;
 
   /// The circuit the training path executes: the ansatz's cached
-  /// GradientPlan form when ExecutionConfig::grad_fusion is on, the raw
-  /// ansatz otherwise. `keepalive` owns any returned plan circuit; it must
-  /// outlive the use of the reference.
+  /// GradientPlan form. `keepalive` owns the plan; it must outlive the use
+  /// of the returned reference.
   [[nodiscard]] const qsim::Circuit& gradient_form(
       std::shared_ptr<const qsim::GradientPlan>& keepalive) const;
 

@@ -120,10 +120,10 @@ std::uint64_t train_fingerprint(const TrainConfig& config) {
   mix(h, std::bit_cast<std::uint64_t>(config.initial_lr));
   mix(h, config.shuffle_seed);
   mix(h, config.chunks_per_step);
-  // Different shard counts group the gradient fold differently, so a
-  // checkpoint resumed under another QUGEO_GRAD_SHARDS would silently
-  // break bit-identity with the uninterrupted run.
-  mix(h, config.grad_shards);
+  // The gradient-slot layout: 0 is the one-slot-per-chunk fold train_model
+  // runs. Kept in the hash so existing checkpoints written with it still
+  // resume, while any written under another fold layout are refused.
+  mix(h, std::uint64_t{0});
   return h;
 }
 

@@ -37,10 +37,10 @@ namespace qugeo::core {
 [[nodiscard]] std::uint64_t model_fingerprint(const ModelConfig& config);
 
 /// Hyperparameter fingerprint of a training run (epochs, initial lr,
-/// shuffle seed, accumulation granularity, gradient shard count). Resuming
-/// a checkpoint written
-/// under a different fingerprint would silently change the optimization
-/// trajectory, so it is rejected as kConfigMismatch instead.
+/// shuffle seed, accumulation granularity, gradient-slot layout). Resuming
+/// a checkpoint written under a different fingerprint would silently
+/// change the optimization trajectory, so it is rejected as
+/// kConfigMismatch instead.
 [[nodiscard]] std::uint64_t train_fingerprint(const TrainConfig& config);
 
 /// Write the model's parameters (+fingerprint) to `path` (atomic, CRC'd).

@@ -24,7 +24,6 @@ TrainConfig apply_train_env_overrides(TrainConfig base) {
   }
   base.checkpoint_every =
       env::parse_env_positive("QUGEO_CHECKPOINT_EVERY", base.checkpoint_every);
-  base.grad_shards = env::parse_env_size_t("QUGEO_GRAD_SHARDS", base.grad_shards);
   return base;
 }
 
@@ -121,49 +120,34 @@ TrainResult train_model(QuGeoModel& model, const data::ScaledDataset& ds,
     std::size_t seen = 0;
     const std::size_t total_chunks = (order.size() + bs - 1) / bs;
     // Chunks inside one accumulation group all see the same parameters, so
-    // they are independent circuit executions: shard them data-parallel
-    // over the pool into a FIXED number of gradient slots — shard s owns a
-    // contiguous chunk range and accumulates it sequentially into its own
-    // slot — then fold the slots in shard order. The partition and both
-    // fold orders depend only on the configuration, never on the pool
-    // size, so training is bit-identical for any QUGEO_THREADS value; the
-    // default (grad_shards == 0, one slot per chunk) reproduces the
-    // pre-sharding per-chunk fold exactly, while a positive shard count
-    // caps gradient-buffer memory at shards * num_params.
+    // they are independent circuit executions: fan them out over the pool,
+    // each into its own gradient slot, then fold the slots in chunk order.
+    // The fold order depends only on the group, never on the pool size, so
+    // training is bit-identical for any QUGEO_THREADS value.
     std::size_t group_start = 0;
     while (group_start < total_chunks) {
       const std::size_t remaining = total_chunks - group_start;
       const std::size_t group =
           config.chunks_per_step == 0 ? remaining
                                       : std::min(config.chunks_per_step, remaining);
-      const std::size_t shards =
-          config.grad_shards == 0 ? group
-                                  : std::min(config.grad_shards, group);
-      const std::size_t per_shard = group / shards;
-      const std::size_t extra = group % shards;  // first `extra` shards get +1
-      std::vector<std::vector<Real>> shard_grads(shards);
+      std::vector<std::vector<Real>> chunk_grads(group);
       std::vector<Real> chunk_loss(group, Real(0));
-      parallel_for(0, shards, [&](std::size_t s) {
-        const std::size_t begin = s * per_shard + std::min(s, extra);
-        const std::size_t end = begin + per_shard + (s < extra ? 1 : 0);
-        shard_grads[s].assign(params.size(), Real(0));
+      parallel_for(0, group, [&](std::size_t g) {
+        chunk_grads[g].assign(params.size(), Real(0));
         std::vector<const data::ScaledSample*> chunk(bs);
-        for (std::size_t g = begin; g < end; ++g) {
-          const std::size_t pos = (group_start + g) * bs;
-          for (std::size_t b = 0; b < bs; ++b) {
-            const std::size_t oi = std::min(pos + b, order.size() - 1);
-            chunk[b] = &ds.samples[split.train[order[oi]]];
-          }
-          chunk_loss[g] = model.loss_and_gradient(chunk, shard_grads[s]);
+        const std::size_t pos = (group_start + g) * bs;
+        for (std::size_t b = 0; b < bs; ++b) {
+          const std::size_t oi = std::min(pos + b, order.size() - 1);
+          chunk[b] = &ds.samples[split.train[order[oi]]];
         }
+        chunk_loss[g] = model.loss_and_gradient(chunk, chunk_grads[g]);
       });
       std::fill(grads.begin(), grads.end(), Real(0));
-      for (std::size_t s = 0; s < shards; ++s)
+      for (std::size_t g = 0; g < group; ++g) {
         for (std::size_t k = 0; k < grads.size(); ++k)
-          grads[k] += shard_grads[s][k];
-      // The loss stays a per-chunk fold (scalar, cheap), so epoch curves
-      // are bit-identical across shard counts too.
-      for (std::size_t g = 0; g < group; ++g) epoch_loss += chunk_loss[g];
+          grads[k] += chunk_grads[g][k];
+        epoch_loss += chunk_loss[g];
+      }
       seen += group * bs;
       // Mean gradient over the accumulated samples.
       const Real inv = Real(1) / static_cast<Real>(group * bs);

@@ -5,16 +5,14 @@
 // regenerated.
 //
 // Gradients always come from the exact adjoint statevector pass (through
-// the model's cached GradientPlan — qsim/gradient_plan.h — unless
-// QUGEO_GRAD_FUSION=off); the per-epoch evaluation (evaluate_model ->
-// predict) runs through the model's configured qsim::ExecutionConfig
-// backend, so training curves can be recorded under exact-channel or
-// trajectory noise — or from a finite measurement budget
-// (ExecutionConfig::shots) — without touching this file.
+// the model's cached GradientPlan — qsim/gradient_plan.h); the per-epoch
+// evaluation (evaluate_model -> predict) runs through the model's
+// configured qsim::ExecutionConfig backend, so training curves can be
+// recorded under exact-channel or trajectory noise — or from a finite
+// measurement budget (ExecutionConfig::shots) — without touching this file.
 //
 // Each accumulation group fans its QuBatch chunks data-parallel over the
-// shared pool into a fixed number of gradient slots
-// (TrainConfig::grad_shards / QUGEO_GRAD_SHARDS) that fold in shard order
+// shared pool, one gradient slot per chunk; the slots fold in chunk order
 // — deterministic and bit-identical for any QUGEO_THREADS value.
 //
 // Fault tolerance: when TrainConfig::checkpoint_path is set, the loop
@@ -47,20 +45,10 @@ struct TrainConfig {
   /// into one Adam step. 0 = full-batch (one step per epoch). The default
   /// of 8 (mini-batch) converges fastest on the FWI task at lr 0.1.
   std::size_t chunks_per_step = 8;
-  /// Data-parallel shard count for the per-step gradient accumulation
-  /// (QUGEO_GRAD_SHARDS): the chunks of one accumulation group are split
-  /// into this many fixed contiguous ranges, each accumulating its chunks
-  /// sequentially into its own gradient slot over the shared pool; the
-  /// slots then fold in shard order. 0 (the default) keeps one slot per
-  /// chunk — the pre-sharding layout, bit-identical to it — while any
-  /// positive value caps the live gradient buffers at
-  /// min(grad_shards, group) * num_params, which is what makes big
-  /// accumulation groups affordable. The shard partition depends only on
-  /// this knob, never on the pool size, so results are bit-identical for
-  /// any QUGEO_THREADS value (pinned by test_core_trainer); different
-  /// shard counts group the floating-point fold differently, so this
-  /// field is part of the checkpoint's train fingerprint.
-  std::size_t grad_shards = 0;
+  /// Not a knob: every chunk of an accumulation group owns one gradient
+  /// slot. Exists only for perfbench's replay, where 0 means one slot per
+  /// chunk. qugeo-lint: no-env(a compile-time constant, not a setting).
+  static constexpr std::size_t grad_shards = 0;
   /// Checkpoint file stem; empty disables checkpointing. Slot k of the
   /// rotation is written to `<checkpoint_path>.<k>`.
   std::filesystem::path checkpoint_path;
@@ -77,9 +65,8 @@ struct TrainConfig {
 };
 
 /// Apply the training environment overrides on top of `base`:
-/// QUGEO_CHECKPOINT (checkpoint file stem), QUGEO_CHECKPOINT_EVERY
-/// (positive epoch interval; defaults to 1 when only the path is set) and
-/// QUGEO_GRAD_SHARDS (accumulation shard count; 0 = one slot per chunk).
+/// QUGEO_CHECKPOINT (checkpoint file stem) and QUGEO_CHECKPOINT_EVERY
+/// (positive epoch interval; defaults to 1 when only the path is set).
 /// Unset variables leave `base` untouched. train_model applies this to
 /// its config on entry, so any long run can be made resumable from the
 /// environment without recompiling.

@@ -16,16 +16,15 @@ namespace qugeo::qsim {
 namespace {
 
 /// The circuit a noiseless execution path should run: the canonical (fused)
-/// form when fusion is enabled and would change the stream — served from
-/// the shared cache when one is configured — otherwise the original by
-/// reference. `keepalive`/`local` own whichever compiled object is
-/// returned; they must outlive the use of the returned reference.
-const Circuit& noiseless_form(const Circuit& circuit, bool fusion,
+/// form when fusion would change the stream — served from the shared cache
+/// when one is configured — otherwise the original by reference.
+/// `keepalive`/`local` own whichever compiled object is returned; they must
+/// outlive the use of the returned reference.
+const Circuit& noiseless_form(const Circuit& circuit,
                               const std::shared_ptr<CompiledCircuitCache>& cache,
                               BackendKind kind,
                               std::shared_ptr<const Circuit>& keepalive,
                               std::optional<Circuit>& local) {
-  if (!fusion) return circuit;
   if (cache) {
     keepalive = cache->canonical(circuit, kind);
     return keepalive ? *keepalive : circuit;
@@ -84,37 +83,16 @@ ExecutionConfig apply_env_overrides(ExecutionConfig base) {
   base.trajectories =
       env::parse_env_positive("QUGEO_TRAJECTORIES", base.trajectories);
   base.shots = env::parse_env_size_t("QUGEO_SHOTS", base.shots);
-  if (const char* f = std::getenv("QUGEO_FUSION")) {
-    const std::string_view v(f);
-    if (v == "on" || v == "1" || v == "true")
-      base.fusion = true;
-    else if (v == "off" || v == "0" || v == "false")
-      base.fusion = false;
-    else
-      throw std::invalid_argument(
-          std::string("QUGEO_FUSION: expected on/off, got '") + f + "'");
-  }
-  if (const char* f = std::getenv("QUGEO_GRAD_FUSION")) {
-    const std::string_view v(f);
-    if (v == "on" || v == "1" || v == "true")
-      base.grad_fusion = true;
-    else if (v == "off" || v == "0" || v == "false")
-      base.grad_fusion = false;
-    else
-      throw std::invalid_argument(
-          std::string("QUGEO_GRAD_FUSION: expected on/off, got '") + f + "'");
-  }
-  base.simd = simd::simd_mode_from_env(base.simd);
+  // QUGEO_SIMD is read by the process-wide dispatcher, which treats unknown
+  // text as "auto"; parse it strictly here so a typo fails loudly.
+  static_cast<void>(simd::simd_mode_from_env(simd::SimdMode::kAuto));
   return base;
 }
 
 // ------------------------------------------------------ StatevectorBackend --
 
 StatevectorBackend::StatevectorBackend(const ExecutionConfig& config)
-    : psi_(0),
-      fusion_(config.fusion),
-      cache_(config.compile_cache),
-      simd_(config.simd) {
+    : psi_(0), cache_(config.compile_cache) {
   // The statevector backend is exact and noiseless; a NoiseModel in the
   // config is an ablation parameter for the other backends, not an error.
 }
@@ -132,13 +110,11 @@ void StatevectorBackend::run(const Circuit& circuit,
                              std::span<const Real> params,
                              StateVector initial_state) {
   fault::site("backend.run");
-  std::optional<simd::ScopedSimdMode> scoped;
-  if (simd_ != simd::SimdMode::kAuto) scoped.emplace(simd_);
   psi_ = std::move(initial_state);
   std::shared_ptr<const Circuit> keepalive;
   std::optional<Circuit> local;
-  run_circuit(noiseless_form(circuit, fusion_, cache_, kind(), keepalive, local),
-              params, psi_);
+  run_circuit(noiseless_form(circuit, cache_, kind(), keepalive, local), params,
+              psi_);
 }
 
 std::vector<Real> StatevectorBackend::probabilities() const {
@@ -155,9 +131,7 @@ std::vector<Real> StatevectorBackend::expect_z(
 // ---------------------------------------------------- DensityMatrixBackend --
 
 DensityMatrixBackend::DensityMatrixBackend(const ExecutionConfig& config)
-    : noise_(config.noise),
-      fusion_(config.fusion),
-      cache_(config.compile_cache) {}
+    : noise_(config.noise), cache_(config.compile_cache) {}
 
 Index DensityMatrixBackend::num_qubits() const noexcept {
   return rho_ ? rho_->num_qubits() : 0;
@@ -189,9 +163,8 @@ void DensityMatrixBackend::run(const Circuit& circuit,
   }
   std::shared_ptr<const Circuit> keepalive;
   std::optional<Circuit> local;
-  run_circuit_density(
-      noiseless_form(circuit, fusion_, cache_, kind(), keepalive, local),
-      params, *rho_, noise_);
+  run_circuit_density(noiseless_form(circuit, cache_, kind(), keepalive, local),
+                      params, *rho_, noise_);
 }
 
 std::vector<Real> DensityMatrixBackend::probabilities() const {
@@ -218,9 +191,7 @@ TrajectoryBackend::TrajectoryBackend(const ExecutionConfig& config)
     : noise_(config.noise),
       trajectories_(config.trajectories == 0 ? 1 : config.trajectories),
       seed_(config.seed),
-      fusion_(config.fusion),
-      cache_(config.compile_cache),
-      simd_(config.simd) {}
+      cache_(config.compile_cache) {}
 
 Index TrajectoryBackend::num_qubits() const noexcept { return num_qubits_; }
 
@@ -235,8 +206,6 @@ void TrajectoryBackend::run(const Circuit& circuit,
                             std::span<const Real> params,
                             StateVector initial_state) {
   fault::site("backend.run");
-  std::optional<simd::ScopedSimdMode> scoped;
-  if (simd_ != simd::SimdMode::kAuto) scoped.emplace(simd_);
   num_qubits_ = initial_state.num_qubits();
   const Index dim = initial_state.dim();
 
@@ -251,7 +220,7 @@ void TrajectoryBackend::run(const Circuit& circuit,
   const Circuit& exec_circuit =
       noise_.has_gate_noise()
           ? circuit
-          : noiseless_form(circuit, fusion_, cache_, kind(), keepalive, local);
+          : noiseless_form(circuit, cache_, kind(), keepalive, local);
 
   // A trivial NoiseModel makes every trajectory identical to the exact
   // run; skip the fan-out entirely (env-driven smoke runs pay one
@@ -276,13 +245,8 @@ void TrajectoryBackend::run(const Circuit& circuit,
   // the average is bit-identical for any QUGEO_THREADS value while keeping
   // memory at O(slots * 2^n) instead of O(trajectories * 2^n).
   const std::size_t slots = std::min<std::size_t>(trajectories_, 32);
-  const simd::SimdMode thread_mode = simd_;
   std::vector<std::vector<Real>> partial(slots);
-  parallel_for(0, slots, [&, thread_mode](std::size_t s) {
-    // Pool workers do not inherit the caller's thread-local dispatch
-    // override; re-install the mode on this thread.
-    std::optional<simd::ScopedSimdMode> slot_scoped;
-    if (thread_mode != simd::SimdMode::kAuto) slot_scoped.emplace(thread_mode);
+  parallel_for(0, slots, [&](std::size_t s) {
     std::vector<Real> acc(dim, Real(0));
     for (std::size_t t = s; t < trajectories_; t += slots) {
       StateVector psi = initial_state;
@@ -344,8 +308,8 @@ std::vector<Real> ShotBackend::probabilities() const {
     return exact;
   }
   // Prefix sums in index order — the same accumulation
-  // StateVector::cumulative_probabilities performs, so the shot_readout
-  // wrappers sample a bit-identical CDF.
+  // StateVector::cumulative_probabilities performs, so the sampled CDF
+  // matches the statevector's bitwise.
   Real acc = 0;
   for (Real& p : exact) {
     acc += p;

@@ -76,22 +76,6 @@ struct ExecutionConfig {
   /// seeds the data-corpus RNG; execution seeds are salted per chunk by
   /// QuGeoModel, so an env override here would correlate every chunk).
   std::uint64_t seed = 0x51d5eedULL;
-  /// Master switch for circuit canonicalization (run fusion) on the
-  /// noiseless execution paths. Off, every backend executes the original
-  /// op stream verbatim — the QUGEO_FUSION=off ablation/debug mode.
-  /// Results are equal either way (up to global phase, <= 1e-10); only
-  /// speed changes.
-  bool fusion = true;
-  /// Master switch for gradient-plan canonicalization on the TRAINING path
-  /// (gradient_plan.h): loss_and_gradient replays |psi> and sweeps <lambda|
-  /// through the gradient-canonical circuit, whose literal segments between
-  /// trainable slots are fused into kFused2Q/kFusedCtl2Q blocks. Off, the
-  /// adjoint runs the original op stream verbatim — the
-  /// QUGEO_GRAD_FUSION=off ablation/debug mode. Gradients agree either way
-  /// to <= 1e-10 (the fused segments' global phase cancels in the
-  /// 2 Re <lambda|dU|psi> contraction), pinned by
-  /// test_qsim_gradient_conformance.
-  bool grad_fusion = true;
   /// Optional shared memo of canonicalize_for_backend results, keyed by
   /// circuit structure + backend kind (see compile_cache.h for the exact
   /// key semantics). Backends consult it in run(); null means every
@@ -99,28 +83,34 @@ struct ExecutionConfig {
   /// QuGeoModel owns one per model and injects it for every predict call.
   /// qugeo-lint: no-env(a process-shared pointer cannot come from text).
   std::shared_ptr<CompiledCircuitCache> compile_cache;
-  /// Kernel dispatch mode for this execution (common/cpu_features.h). kAuto
-  /// defers to the process default (the QUGEO_SIMD environment mode, or the
-  /// CPU probe); kScalar forces the bit-exact reference kernels; kAvx2
-  /// forces the intrinsic variants (degrading gracefully to scalar when the
-  /// binary/CPU cannot run them). Backends realize a non-auto mode through
-  /// thread-local ScopedSimdMode overrides, so concurrent executions with
-  /// different modes do not race.
-  simd::SimdMode simd = simd::SimdMode::kAuto;
   /// Not a knob: every backend executes one state at a time. The constant
   /// exists only for the `"batch"` entry of perfbench's run metadata.
   /// qugeo-lint: no-env(a compile-time constant, not a setting).
   static constexpr std::size_t batch = 1;
+  /// Not a knob: noiseless paths always execute the canonical (run-fused)
+  /// circuit; gate-noisy paths keep the original op stream (see Backend).
+  /// Exists only for perfbench's run metadata, like `batch`.
+  /// qugeo-lint: no-env(a compile-time constant, not a setting).
+  static constexpr bool fusion = true;
+  /// Not a knob: training always runs the GradientPlan form
+  /// (gradient_plan.h). Exists only for perfbench's run metadata.
+  /// qugeo-lint: no-env(a compile-time constant, not a setting).
+  static constexpr bool grad_fusion = true;
+  /// Not a knob: kernels dispatch on the process-wide level
+  /// (common/cpu_features.h, QUGEO_SIMD). Exists only for perfbench's run
+  /// metadata.
+  /// qugeo-lint: no-env(a compile-time constant, not a setting).
+  static constexpr simd::SimdMode simd = simd::SimdMode::kAuto;
 };
 
 /// Environment overrides for smoke runs and CI: QUGEO_BACKEND
 /// ("statevector" | "density" | "trajectory" | "shot"), QUGEO_NOISE_P
 /// (real), QUGEO_NOISE_CHANNEL ("depolarizing" | "amplitude_damping" |
 /// "phase_damping"), QUGEO_READOUT_P (real), QUGEO_TRAJECTORIES (integer),
-/// QUGEO_SHOTS (integer, 0 = exact), QUGEO_FUSION ("on"/"off"),
-/// QUGEO_GRAD_FUSION ("on"/"off"), QUGEO_SIMD ("auto" | "avx2" | "scalar").
-/// Unset variables leave `base` untouched. The full reference table lives
-/// in docs/ARCHITECTURE.md.
+/// QUGEO_SHOTS (integer, 0 = exact). Unset variables leave `base`
+/// untouched. QUGEO_SIMD sets the process-wide kernel level, not a config
+/// field, but a malformed value still throws here. The full reference table
+/// lives in docs/ARCHITECTURE.md.
 [[nodiscard]] ExecutionConfig apply_env_overrides(ExecutionConfig base);
 
 /// \brief A stateful execution engine: prepare (or inject) a state, run a
@@ -132,14 +122,14 @@ struct ExecutionConfig {
 /// \par Canonicalization contract (fusion legality)
 /// run() executes the canonical (run-fused) form of the circuit on its
 /// NOISELESS path — via the shared CompiledCircuitCache when
-/// ExecutionConfig::compile_cache is set, locally otherwise, and not at
-/// all when ExecutionConfig::fusion is off. With a gate channel active the
-/// ORIGINAL op stream executes verbatim: fusing k gates into one would
-/// also fuse their k per-gate noise insertion points (see optimizer.h for
-/// the full legality rules; the readout channel's single end-of-circuit
-/// insertion point survives fusion, so readout-only noise may still fuse).
-/// Either way the observable results are identical to 1e-10 — fusion is a
-/// pure performance layer, pinned by test_qsim_fusion2q.
+/// ExecutionConfig::compile_cache is set, locally otherwise. With a gate
+/// channel active the ORIGINAL op stream executes verbatim: fusing k gates
+/// into one would also fuse their k per-gate noise insertion points (see
+/// optimizer.h for the full legality rules; the readout channel's single
+/// end-of-circuit insertion point survives fusion, so readout-only noise
+/// may still fuse). The canonical form's observable results equal the
+/// original's to 1e-10 — fusion is a pure performance layer, pinned by
+/// test_qsim_fusion2q.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -202,9 +192,7 @@ class StatevectorBackend final : public Backend {
 
  private:
   StateVector psi_;
-  bool fusion_;
   std::shared_ptr<CompiledCircuitCache> cache_;
-  simd::SimdMode simd_;
 };
 
 class DensityMatrixBackend final : public Backend {
@@ -232,7 +220,6 @@ class DensityMatrixBackend final : public Backend {
  private:
   NoiseModel noise_;
   std::optional<DensityMatrix> rho_;
-  bool fusion_;
   std::shared_ptr<CompiledCircuitCache> cache_;
 };
 
@@ -259,9 +246,7 @@ class TrajectoryBackend final : public Backend {
   NoiseModel noise_;
   std::size_t trajectories_;
   std::uint64_t seed_;
-  bool fusion_;
   std::shared_ptr<CompiledCircuitCache> cache_;
-  simd::SimdMode simd_;
   Index num_qubits_ = 0;
   std::vector<Real> mean_probs_;
 };

@@ -22,8 +22,8 @@
 //
 // Plans are memoized per circuit structure in CompiledCircuitCache
 // (gradient_plan() — plan_compile_count()/plan_hit_count() are the probes
-// the trainer tests pin), and the whole path is gated on
-// ExecutionConfig::grad_fusion (QUGEO_GRAD_FUSION).
+// the trainer tests pin); QuGeoModel's training path always runs through
+// its plan.
 #pragma once
 
 #include <cstddef>

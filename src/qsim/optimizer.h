@@ -147,8 +147,7 @@ struct Fuse2QStats {
 /// place. Pure and deterministic: the same input circuit always yields the
 /// same canonical form, which is what makes CompiledCircuitCache
 /// (compile_cache.h) sound — it memoizes this function keyed by circuit
-/// structure + backend kind. Callers gate it on ExecutionConfig::fusion
-/// (QUGEO_FUSION) and on the has_fusable_* probes.
+/// structure + backend kind. Callers gate it on the has_fusable_* probes.
 [[nodiscard]] Circuit canonicalize_for_backend(const Circuit& circuit);
 
 }  // namespace qugeo::qsim

@@ -94,16 +94,4 @@ std::vector<Real> expect_z_from_probabilities(std::span<const Real> probs,
   return z;
 }
 
-std::vector<Real> marginal_from_probabilities(std::span<const Real> probs,
-                                              std::span<const Index> qubits) {
-  std::vector<Real> m(Index{1} << qubits.size(), Real(0));
-  for (Index k = 0; k < probs.size(); ++k) {
-    Index out = 0;
-    for (std::size_t i = 0; i < qubits.size(); ++i)
-      if ((k >> qubits[i]) & 1) out |= Index{1} << i;
-    m[out] += probs[k];
-  }
-  return m;
-}
-
 }  // namespace qugeo::qsim

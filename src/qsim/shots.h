@@ -6,9 +6,7 @@
 // Every shot draws from its own RNG sub-stream derived from (seed, shot
 // index) and the per-slot counts are folded in fixed order, so estimates
 // are bit-identical for any QUGEO_THREADS value — the same contract the
-// trajectory sampler honors. ShotBackend (backend.h) and the
-// core/shot_readout wrappers both delegate here, pinned byte-identical by
-// test_core_shot_readout.
+// trajectory sampler honors. ShotBackend (backend.h) delegates here.
 #pragma once
 
 #include <cstdint>
@@ -67,12 +65,6 @@ void apply_readout_to_probabilities(std::span<Real> probs, Index num_qubits,
 /// \brief <Z_q> for each listed qubit of a (possibly empirical)
 /// probability vector over the full computational basis.
 [[nodiscard]] std::vector<Real> expect_z_from_probabilities(
-    std::span<const Real> probs, std::span<const Index> qubits);
-
-/// \brief Marginal distribution over an ordered qubit subset of a
-/// (possibly empirical) probability vector; bit i of the result index is
-/// the value of qubits[i].
-[[nodiscard]] std::vector<Real> marginal_from_probabilities(
     std::span<const Real> probs, std::span<const Index> qubits);
 
 }  // namespace qugeo::qsim

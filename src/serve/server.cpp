@@ -2,19 +2,38 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 #include "common/env.h"
 
 namespace qugeo::serve {
+namespace {
+
+/// The dispatcher computes `enqueued + deadline` on steady_clock. Capping
+/// the deadline at half the clock's range (~146 years at nanosecond ticks)
+/// leaves the other half for the time point, so the sum cannot overflow.
+constexpr std::chrono::microseconds kMaxDeadline =
+    std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::duration::max() / 2);
+
+}  // namespace
 
 ServeConfig apply_serve_env_overrides(ServeConfig base) {
   base.max_batch = env::parse_env_positive("QUGEO_SERVE_BATCH", base.max_batch);
-  base.deadline = std::chrono::microseconds(
-      static_cast<std::chrono::microseconds::rep>(env::parse_env_size_t(
-          "QUGEO_SERVE_DEADLINE_US",
-          static_cast<std::size_t>(base.deadline.count()))));
+  if (std::getenv("QUGEO_SERVE_DEADLINE_US") != nullptr) {
+    const std::size_t us = env::parse_env_size_t("QUGEO_SERVE_DEADLINE_US", 0);
+    // Checked before the conversion: the signed rep would wrap 2^64 - 1 to
+    // a negative deadline.
+    if (us > static_cast<std::size_t>(kMaxDeadline.count()))
+      throw std::invalid_argument(
+          "QUGEO_SERVE_DEADLINE_US: expected at most " +
+          std::to_string(kMaxDeadline.count()) + " us, got " +
+          std::to_string(us));
+    base.deadline = std::chrono::microseconds(
+        static_cast<std::chrono::microseconds::rep>(us));
+  }
   return base;
 }
 
@@ -66,6 +85,12 @@ ModelServer::ModelServer(const core::QuGeoModel& model, ServeConfig config)
                                                   : config_.full_threshold) {
   if (config_.max_batch == 0)
     throw std::invalid_argument("ModelServer: max_batch must be positive");
+  if (config_.deadline < std::chrono::microseconds::zero() ||
+      config_.deadline > kMaxDeadline)
+    throw std::invalid_argument(
+        "ModelServer: deadline must be in [0, " +
+        std::to_string(kMaxDeadline.count()) + "] us, got " +
+        std::to_string(config_.deadline.count()));
   if (config_.queue_capacity == 0)
     throw std::invalid_argument("ModelServer: queue_capacity must be positive");
   if (config_.max_batch > config_.queue_capacity)

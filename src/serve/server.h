@@ -72,6 +72,8 @@ struct ServeConfig {
   std::size_t max_batch = 16;
   /// Flush once the oldest queued request has waited this long, even if
   /// the batch is short (QUGEO_SERVE_DEADLINE_US; 0 = flush immediately).
+  /// The constructor rejects a negative deadline or one above ~146 years
+  /// (half the steady_clock range).
   std::chrono::microseconds deadline{500};
   /// Ring capacity; the queue never reallocates after construction.
   std::size_t queue_capacity = 1024;

@@ -121,7 +121,7 @@ TEST(Env, PositiveRejectsZero) {
 }
 
 TEST(Env, RejectsMalformedProbabilities) {
-  for (const char* bad : {"abc", "", "0.5x", "1.5", "-0.1"}) {
+  for (const char* bad : {"abc", "", "0.5x", "1.5", "-0.1", "nan", "NaN"}) {
     EnvGuard guard("QUGEO_ENV_TEST", bad);
     expect_rejects_naming("QUGEO_ENV_TEST", [] {
       (void)env::parse_env_probability("QUGEO_ENV_TEST", 0.0);
@@ -189,6 +189,24 @@ TEST(Env, BackendKnobsRejectMalformedValues) {
   {
     EnvGuard guard("QUGEO_READOUT_P", "lots");
     expect_rejects_naming("QUGEO_READOUT_P", [] {
+      (void)qsim::apply_env_overrides(qsim::ExecutionConfig{});
+    });
+  }
+  // NaN fails every comparison, so a `p < 0 || p > 1` check lets it through
+  // and the run silently goes noiseless.
+  for (const char* name : {"QUGEO_NOISE_P", "QUGEO_READOUT_P"}) {
+    for (const char* nan : {"nan", "NaN"}) {
+      EnvGuard guard(name, nan);
+      expect_rejects_naming(name, [] {
+        (void)qsim::apply_env_overrides(qsim::ExecutionConfig{});
+      });
+    }
+  }
+  {
+    // The process-wide SIMD reader treats unknown text as "auto"; the
+    // execution-config overrides must still reject it.
+    EnvGuard guard("QUGEO_SIMD", "sideways");
+    expect_rejects_naming("QUGEO_SIMD", [] {
       (void)qsim::apply_env_overrides(qsim::ExecutionConfig{});
     });
   }

@@ -133,6 +133,76 @@ TEST(BackendAblation, TrainingGradientsStayOnAdjointPath) {
     EXPECT_EQ(g_clean[k], g_noisy[k]);
 }
 
+/// Exact-statevector and sampled readout configs for `model`, regardless of
+/// any QUGEO_BACKEND / QUGEO_SHOTS smoke-leg override applied at
+/// construction: these tests compare sampled estimates against the exact
+/// decode.
+struct ReadoutPair {
+  qsim::ExecutionConfig exact;
+  qsim::ExecutionConfig sampled;
+};
+
+ReadoutPair readout_pair(const QuGeoModel& model, std::uint64_t seed) {
+  ReadoutPair r{model.execution_config(), {}};
+  r.exact.backend = qsim::BackendKind::kStatevector;
+  r.exact.shots = 0;
+  r.sampled = r.exact;
+  r.sampled.shots = 200000;
+  r.sampled.seed = seed;
+  return r;
+}
+
+TEST(BackendAblation, PredictionConvergesToExactDecoder) {
+  Rng rng(7);
+  QuGeoModel model(small_config(DecoderKind::kLayer), rng);
+  const data::ScaledSample s = random_sample(8, 6, rng);
+  const data::ScaledSample* chunk[] = {&s};
+
+  const ReadoutPair r = readout_pair(model, Rng(8).next_u64());
+  const auto exact = model.predict_with(chunk, r.exact)[0];
+  const auto sampled = model.predict_with(chunk, r.sampled)[0];
+  for (std::size_t k = 0; k < exact.size(); ++k)
+    EXPECT_NEAR(sampled[k], exact[k], 0.02) << "pixel " << k;
+}
+
+TEST(BackendAblation, BatchedAndPixelModelsSampleToo) {
+  // Every decoder and QuBatch size reads out through the same
+  // ExecutionConfig path: sampled predictions converge to the exact decode
+  // for a batched layer model and an unbatched pixel model.
+  Rng rng(9);
+  data::ScaledSample s;
+  s.waveform.assign(8, 0.5);
+  s.velocity.assign(6, 0.5);
+  const data::ScaledSample* chunk[] = {&s};
+  Rng shot_rng(10);
+
+  ModelConfig batched;
+  batched.group_data_qubits = {3};
+  batched.batch_log2 = 1;
+  batched.ansatz.blocks = 1;
+  batched.vel_rows = 3;
+  batched.vel_cols = 2;
+  const QuGeoModel mb(batched, rng);
+  const ReadoutPair rb = readout_pair(mb, shot_rng.next_u64());
+  const auto exact_b = mb.predict_with(chunk, rb.exact)[0];
+  const auto sampled_b = mb.predict_with(chunk, rb.sampled)[0];
+  for (std::size_t k = 0; k < exact_b.size(); ++k)
+    EXPECT_NEAR(sampled_b[k], exact_b[k], 0.02) << "batched pixel " << k;
+
+  ModelConfig px;
+  px.group_data_qubits = {3};
+  px.ansatz.blocks = 1;
+  px.decoder = DecoderKind::kPixel;
+  px.vel_rows = 2;
+  px.vel_cols = 2;
+  const QuGeoModel mp(px, rng);
+  const ReadoutPair rp = readout_pair(mp, shot_rng.next_u64());
+  const auto exact_p = mp.predict_with(chunk, rp.exact)[0];
+  const auto sampled_p = mp.predict_with(chunk, rp.sampled)[0];
+  for (std::size_t k = 0; k < exact_p.size(); ++k)
+    EXPECT_NEAR(sampled_p[k], exact_p[k], 0.02) << "pixel-decoder pixel " << k;
+}
+
 TEST(BackendAblation, EnvOverrideReachesModelConstruction) {
   ::setenv("QUGEO_BACKEND", "trajectory", 1);
   Rng rng(5);

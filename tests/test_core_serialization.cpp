@@ -134,5 +134,11 @@ TEST_F(SerializationTest, TrainFingerprintTracksHyperparameters) {
   EXPECT_EQ(train_fingerprint(base), train_fingerprint(knobs));
 }
 
+TEST_F(SerializationTest, DefaultTrainFingerprintIsPinned) {
+  // Checkpoints already on disk carry this value; changing it refuses
+  // every default-config resume.
+  EXPECT_EQ(train_fingerprint(TrainConfig{}), 12042924359264131782ULL);
+}
+
 }  // namespace
 }  // namespace qugeo::core

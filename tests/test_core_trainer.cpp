@@ -1,13 +1,9 @@
 // Training loop: loss decreases on a learnable synthetic task, evaluation
-// metrics behave, QuBatch trains, epoch sharding is bit-identical across
-// thread counts and composes with checkpoint/resume and gradient fusion,
-// and the GradientPlan cache builds exactly once per run.
+// metrics behave, QuBatch trains, the per-chunk gradient fold is
+// bit-identical across thread counts, and the GradientPlan cache builds
+// exactly once per run.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-
-#include "common/fault.h"
 #include "common/parallel.h"
 #include "core/trainer.h"
 
@@ -127,15 +123,15 @@ TEST(Trainer, DeterministicGivenSeeds) {
     EXPECT_EQ(r1.curve[e].train_loss, r2.curve[e].train_loss);
 }
 
-// ------------------------------------------------------ epoch sharding --
+// ------------------------------------------------- per-chunk gradient fold --
 
-/// One full training run from fixed seeds under the given shard count.
+/// One full training run from fixed seeds.
 struct RunOutput {
   TrainResult result;
   std::vector<Real> params;
 };
 
-RunOutput sharded_run(std::size_t grad_shards) {
+RunOutput fixed_seed_run() {
   Rng rng(9);
   data::ScaledDataset ds = synthetic_dataset(12, 8, 3, 2, rng);
   const data::SplitView split = data::split_dataset(12, 9);
@@ -143,7 +139,6 @@ RunOutput sharded_run(std::size_t grad_shards) {
   tc.epochs = 4;
   tc.initial_lr = 0.05;
   tc.chunks_per_step = 4;
-  tc.grad_shards = grad_shards;
   Rng init(10);
   QuGeoModel model(tiny_model(DecoderKind::kLayer), init);
   RunOutput out{train_model(model, ds, split, tc), model.parameters()};
@@ -164,76 +159,19 @@ void expect_identical_runs(const RunOutput& a, const RunOutput& b) {
 }
 
 TEST(TrainerSharding, BitIdenticalAcrossThreadCounts) {
-  // The shard partition and both fold orders depend only on the config,
-  // never on the pool size: 1, 2 and 4 workers must produce the same bits.
+  // Each chunk of a group owns one gradient slot and the slots fold in
+  // chunk order, never in pool order: 1, 2 and 4 workers must produce the
+  // same bits.
   const std::size_t before = num_threads();
   set_num_threads(1);
-  const RunOutput t1 = sharded_run(2);
+  const RunOutput t1 = fixed_seed_run();
   set_num_threads(2);
-  const RunOutput t2 = sharded_run(2);
+  const RunOutput t2 = fixed_seed_run();
   set_num_threads(4);
-  const RunOutput t4 = sharded_run(2);
+  const RunOutput t4 = fixed_seed_run();
   set_num_threads(before);
   expect_identical_runs(t1, t2);
   expect_identical_runs(t1, t4);
-}
-
-TEST(TrainerSharding, OneChunkPerShardMatchesDefaultBitwise) {
-  // grad_shards = 0 keeps one slot per chunk (the pre-sharding layout);
-  // any shard count >= the group size degenerates to the same partition.
-  const RunOutput per_chunk = sharded_run(0);
-  const RunOutput capped = sharded_run(64);
-  expect_identical_runs(per_chunk, capped);
-}
-
-TEST(TrainerSharding, KillAndResumeBitIdenticalWithShardingAndGradFusion) {
-  // The PR 7 kill-and-resume harness with epoch sharding AND gradient
-  // fusion both active: a run killed mid-training and resumed from disk
-  // must match an uninterrupted run bit for bit.
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "qugeo_trainer_shard_resume";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  Rng rng(21);
-  data::ScaledDataset ds = synthetic_dataset(12, 8, 3, 2, rng);
-  const data::SplitView split = data::split_dataset(12, 9);
-  const auto config_for = [&](const char* stem) {
-    TrainConfig tc;
-    tc.epochs = 5;
-    tc.initial_lr = 0.05;
-    tc.chunks_per_step = 4;
-    tc.grad_shards = 2;
-    tc.checkpoint_path = dir / stem;
-    tc.checkpoint_every = 1;
-    return tc;
-  };
-  auto model_config = tiny_model(DecoderKind::kLayer);
-  model_config.execution.grad_fusion = true;
-
-  Rng init_ref(22);
-  QuGeoModel ref_model(model_config, init_ref);
-  const TrainResult reference =
-      train_model(ref_model, ds, split, config_for("ref"));
-
-  const TrainConfig tc = config_for("killed");
-  {
-    Rng init(22);
-    QuGeoModel model(model_config, init);
-    fault::FaultScope scope("trainer.epoch", 3);
-    EXPECT_THROW(train_model(model, ds, split, tc), TransientError);
-  }
-  Rng init(23);  // different init: every parameter must come from the disk
-  QuGeoModel resumed_model(model_config, init);
-  const TrainResult resumed = train_model(resumed_model, ds, split, tc);
-
-  EXPECT_EQ(resumed.resumed_from_epoch, 2u);
-  ASSERT_EQ(resumed.curve.size(), reference.curve.size());
-  for (std::size_t e = 0; e < reference.curve.size(); ++e)
-    EXPECT_EQ(resumed.curve[e].train_loss, reference.curve[e].train_loss)
-        << "epoch " << e;
-  EXPECT_EQ(resumed_model.parameters(), ref_model.parameters());
-  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------- gradient-plan cache --
@@ -249,52 +187,11 @@ TEST(TrainerGradientPlan, CacheBuildsOncePerRun) {
   QuGeoModel model(tiny_model(DecoderKind::kLayer), init);
   (void)train_model(model, ds, split, tc);
   const auto& cache = *model.compile_cache();
-  if (!model.execution_config().grad_fusion) {
-    // QUGEO_GRAD_FUSION=off leg: the knob must really disable the path.
-    EXPECT_EQ(cache.plan_compile_count(), 0u);
-    EXPECT_EQ(cache.plan_hit_count(), 0u);
-    return;
-  }
   // One build, then every later lookup hits: loss_and_gradient fetches the
   // plan twice per chunk (forward replay + adjoint sweep), the train split
   // has 9 chunks of batch size 1, and the run does 3 epochs.
   EXPECT_EQ(cache.plan_compile_count(), 1u);
   EXPECT_EQ(cache.plan_hit_count(), 2u * 9u * 3u - 1u);
-}
-
-TEST(TrainerGradientPlan, FusionKnobBitIdenticalOnAllTrainableAnsatz) {
-  // The QuGeoVQC ansatz is all-trainable, so its GradientPlan is the
-  // identity: the fused and unfused training paths must agree BITWISE
-  // (this is what keeps the default path identical to the pre-plan loop).
-  Rng rng(15);
-  data::ScaledDataset ds = synthetic_dataset(4, 8, 3, 2, rng);
-  std::vector<const data::ScaledSample*> chunk = {&ds.samples[0]};
-
-  Rng init(16);
-  QuGeoModel model(tiny_model(DecoderKind::kLayer), init);
-  auto exec_on = model.execution_config();
-  exec_on.grad_fusion = true;
-  auto exec_off = exec_on;
-  exec_off.grad_fusion = false;
-
-  model.set_execution_config(exec_on);
-  std::vector<Real> g_on(model.num_params(), Real(0));
-  const Real loss_on = model.loss_and_gradient(chunk, g_on);
-  model.set_execution_config(exec_off);
-  std::vector<Real> g_off(model.num_params(), Real(0));
-  const Real loss_off = model.loss_and_gradient(chunk, g_off);
-
-  EXPECT_EQ(loss_on, loss_off);
-  EXPECT_EQ(g_on, g_off);
-}
-
-TEST(TrainerSharding, EnvOverrideParsesStrictly) {
-  ASSERT_EQ(setenv("QUGEO_GRAD_SHARDS", "3", 1), 0);
-  EXPECT_EQ(apply_train_env_overrides({}).grad_shards, 3u);
-  ASSERT_EQ(setenv("QUGEO_GRAD_SHARDS", "many", 1), 0);
-  EXPECT_THROW((void)apply_train_env_overrides({}), std::invalid_argument);
-  ASSERT_EQ(unsetenv("QUGEO_GRAD_SHARDS"), 0);
-  EXPECT_EQ(apply_train_env_overrides({}).grad_shards, 0u);
 }
 
 TEST(Evaluate, PerfectPredictionScoresOne) {

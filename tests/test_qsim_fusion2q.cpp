@@ -396,18 +396,18 @@ TEST(NoisyPathBypass, ReadoutOnlyNoiseMayStillFuse) {
   NoiseModel noise;
   noise.readout_error = 0.03;
 
+  ASSERT_TRUE(has_fusable_two_qubit_runs(c));
   ExecutionConfig cfg;
   cfg.backend = BackendKind::kDensityMatrix;
   cfg.noise = noise;
   const auto fused_backend = make_backend(cfg, 2);
   fused_backend->run(c, {});
 
-  cfg.fusion = false;
-  const auto verbatim_backend = make_backend(cfg, 2);
-  verbatim_backend->run(c, {});
+  DensityMatrix original(2);
+  run_circuit_density(c, {}, original, noise);
 
   const auto pf = fused_backend->probabilities();
-  const auto pv = verbatim_backend->probabilities();
+  const auto pv = original.probabilities();
   for (Index k = 0; k < 4; ++k) EXPECT_NEAR(pf[k], pv[k], 1e-12);
 }
 
@@ -468,37 +468,6 @@ TEST(CompiledCircuitCache, IdentityCircuitsAreMemoizedAsNull) {
   EXPECT_EQ(cache->hit_count(), 1u);
 }
 
-TEST(CompiledCircuitCache, FusionOffBypassesTheCache) {
-  Circuit c(2);
-  c.h(0);
-  c.h(0);
-
-  auto cache = std::make_shared<CompiledCircuitCache>();
-  ExecutionConfig cfg;
-  cfg.fusion = false;
-  cfg.compile_cache = cache;
-  const auto backend = make_backend(cfg, 2);
-  backend->run(c, {});
-  EXPECT_EQ(cache->compile_count(), 0u);
-  EXPECT_EQ(cache->hit_count(), 0u);
-}
-
-TEST(ExecutionConfigEnv, QugeoFusionOverride) {
-  const char* prev = std::getenv("QUGEO_FUSION");
-  const std::string saved = prev ? prev : "";
-  ASSERT_EQ(setenv("QUGEO_FUSION", "off", 1), 0);
-  EXPECT_FALSE(apply_env_overrides(ExecutionConfig{}).fusion);
-  ASSERT_EQ(setenv("QUGEO_FUSION", "on", 1), 0);
-  EXPECT_TRUE(apply_env_overrides(ExecutionConfig{}).fusion);
-  ASSERT_EQ(setenv("QUGEO_FUSION", "sideways", 1), 0);
-  EXPECT_THROW((void)apply_env_overrides(ExecutionConfig{}),
-               std::invalid_argument);
-  if (prev)
-    ASSERT_EQ(setenv("QUGEO_FUSION", saved.c_str(), 1), 0);
-  else
-    ASSERT_EQ(unsetenv("QUGEO_FUSION"), 0);
-}
-
 }  // namespace
 }  // namespace qugeo::qsim
 
@@ -519,8 +488,8 @@ data::ScaledSample random_sample(std::size_t wave_size, std::size_t vel_size,
 
 /// Clears the QUGEO_* execution overrides for the test's lifetime (this
 /// probe pins exact compile/hit counts, which the CI env-smoke legs —
-/// QUGEO_BACKEND=density, QUGEO_SHOTS=4096, QUGEO_FUSION=off — would
-/// legitimately change) and restores them on destruction.
+/// QUGEO_BACKEND=density, QUGEO_SHOTS=4096 — would legitimately change)
+/// and restores them on destruction.
 class ExecEnvGuard {
  public:
   ExecEnvGuard() {
@@ -540,10 +509,10 @@ class ExecEnvGuard {
   }
 
  private:
-  static constexpr std::array<const char*, 8> kVars = {
+  static constexpr std::array<const char*, 7> kVars = {
       "QUGEO_BACKEND",   "QUGEO_NOISE_P", "QUGEO_NOISE_CHANNEL",
       "QUGEO_READOUT_P", "QUGEO_SHOTS",   "QUGEO_TRAJECTORIES",
-      "QUGEO_FUSION",    "QUGEO_SIMD"};
+      "QUGEO_SIMD"};
   std::vector<std::optional<std::string>> saved_;
 };
 

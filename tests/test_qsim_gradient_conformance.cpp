@@ -15,13 +15,12 @@
 // the five-pass sweep it replaced (rewind psi, one contraction per slot,
 // rewind lambda) on every index-pair layout and every trainable kind, under
 // both SIMD levels, and its AVX2 kernels against a textbook pair loop.
-// CI re-runs this binary under QUGEO_GRAD_FUSION=off, QUGEO_SIMD=scalar,
-// QUGEO_SIMD=avx2 and QUGEO_THREADS=4 legs, and under TSan (the shared
-// plan-cache test below exercises the concurrent build path).
+// CI re-runs this binary under QUGEO_SIMD=scalar, QUGEO_SIMD=avx2 and
+// QUGEO_THREADS=4 legs, and under TSan (the shared plan-cache test below
+// exercises the concurrent build path).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <set>
 #include <string>
@@ -31,7 +30,6 @@
 #include "common/math_utils.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "qsim/backend.h"
 #include "qsim/circuit.h"
 #include "qsim/compile_cache.h"
 #include "qsim/executor.h"
@@ -325,18 +323,6 @@ TEST(GradientConformance, AdjointMatchesParameterShiftOnEligibleGates) {
     for (std::size_t p = 0; p < shift.size(); ++p)
       EXPECT_NEAR(adj.param_grads[p], shift[p], 1e-9) << "param " << p;
   }
-}
-
-TEST(GradientConformance, EnvKnobParsesStrictly) {
-  ASSERT_EQ(setenv("QUGEO_GRAD_FUSION", "off", 1), 0);
-  EXPECT_FALSE(apply_env_overrides({}).grad_fusion);
-  ASSERT_EQ(setenv("QUGEO_GRAD_FUSION", "on", 1), 0);
-  EXPECT_TRUE(apply_env_overrides({}).grad_fusion);
-  ASSERT_EQ(setenv("QUGEO_GRAD_FUSION", "sideways", 1), 0);
-  EXPECT_THROW((void)apply_env_overrides({}), std::invalid_argument);
-  ASSERT_EQ(unsetenv("QUGEO_GRAD_FUSION"), 0);
-  ExecutionConfig def;
-  EXPECT_TRUE(def.grad_fusion);
 }
 
 TEST(GradientConformance, SharedPlanCacheBuildsOnceUnderConcurrency) {

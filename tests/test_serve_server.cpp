@@ -427,6 +427,27 @@ TEST(Serve, EnvOverridesApplyAndRejectMalformedValues) {
     EnvGuard deadline("QUGEO_SERVE_DEADLINE_US", "-10");
     EXPECT_THROW(ModelServer(model, ServeConfig{}), std::invalid_argument);
   }
+  // 2^64 - 1 would wrap to a negative deadline through the signed rep, and
+  // 10^16 us overflows `enqueued + deadline` in the dispatcher.
+  for (const char* huge : {"18446744073709551615", "10000000000000000"}) {
+    EnvGuard deadline("QUGEO_SERVE_DEADLINE_US", huge);
+    try {
+      ModelServer server(model, ServeConfig{});
+      ADD_FAILURE() << "QUGEO_SERVE_DEADLINE_US=" << huge << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("QUGEO_SERVE_DEADLINE_US"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A deadline set in code goes through the same bounds.
+  for (const auto bad :
+       {std::chrono::microseconds{-1}, std::chrono::microseconds::max()}) {
+    ServeConfig config;
+    config.deadline = bad;
+    EXPECT_THROW(ModelServer(model, config), std::invalid_argument)
+        << bad.count() << " us";
+  }
 }
 
 TEST(Serve, HistogramQuantileInterpolates) {
