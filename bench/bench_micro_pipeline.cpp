@@ -1,6 +1,6 @@
 // Microbenchmarks of the learning pipeline: one training step (forward +
-// adjoint backward + Adam) for each decoder and QuBatch size, one CNN
-// baseline step, and SSIM evaluation throughput.
+// adjoint backward + Adam) for each decoder and QuBatch size, one training
+// epoch of each CNN baseline, and SSIM evaluation throughput.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
@@ -69,10 +69,14 @@ void BM_VqcPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_VqcPredict)->Unit(benchmark::kMicrosecond);
 
+/// Arg 0 = CNN-PX, 1 = CNN-LY, 2 = INet-ref (pixel head): Table 2's three
+/// classical rows.
 void BM_CnnBaselineStep(benchmark::State& state) {
   Rng rng(3);
   core::ClassicalConfig cc;
-  cc.decoder = core::DecoderKind::kLayer;
+  cc.decoder = state.range(0) == 1 ? core::DecoderKind::kLayer
+                                   : core::DecoderKind::kPixel;
+  cc.inversion_net_reference = state.range(0) == 2;
   core::ClassicalFwiNet net(cc, rng);
   data::ScaledDataset ds;
   ds.samples.push_back(random_sample(rng));
@@ -89,7 +93,7 @@ void BM_CnnBaselineStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ds.samples.size()));
 }
-BENCHMARK(BM_CnnBaselineStep)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CnnBaselineStep)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_Ssim8x8(benchmark::State& state) {
   Rng rng(4);

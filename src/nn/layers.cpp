@@ -2,10 +2,152 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace qugeo::nn {
+namespace {
+
+// Row-major GEMM in the three forms the layers need, accumulating into C.
+// Plain loops with a unit-stride innermost loop, so GCC vectorises them at
+// the baseline x86-64 target (at -O3; -O2's cheap cost model leaves the
+// A*B and A^T*B rows scalar); the summation order is fixed by the shapes
+// alone.
+
+/// C[m x n] += A[m x k] * B[k x n]; each C element adds its products in
+/// ascending p.
+void gemm_nn(std::size_t m, std::size_t n, std::size_t k,
+             const Real* __restrict a, const Real* __restrict b,
+             Real* __restrict c) {
+  for (std::size_t i = 0; i < m; ++i) {
+    Real* ci = c + i * n;
+    for (std::size_t p = 0; p < k; ++p) {
+      const Real aip = a[i * k + p];
+      const Real* bp = b + p * n;
+      for (std::size_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
+    }
+  }
+}
+
+/// C[m x n] += A^T * B with A stored [k x m], B [k x n]; each C element
+/// adds its products in ascending p.
+void gemm_tn(std::size_t m, std::size_t n, std::size_t k,
+             const Real* __restrict a, const Real* __restrict b,
+             Real* __restrict c) {
+  for (std::size_t i = 0; i < m; ++i) {
+    Real* ci = c + i * n;
+    for (std::size_t p = 0; p < k; ++p) {
+      const Real api = a[p * m + i];
+      const Real* bp = b + p * n;
+      for (std::size_t j = 0; j < n; ++j) ci[j] += api * bp[j];
+    }
+  }
+}
+
+/// C[m x n] += A * B^T with A stored [m x k], B [n x k]. Each C element
+/// adds one dot product, summed in kLanes interleaved partial sums
+/// (lane = p mod kLanes) folded pairwise, which vectorises without
+/// reassociation.
+void gemm_nt(std::size_t m, std::size_t n, std::size_t k,
+             const Real* __restrict a, const Real* __restrict b,
+             Real* __restrict c) {
+  constexpr std::size_t kLanes = 8;
+  for (std::size_t i = 0; i < m; ++i) {
+    const Real* ai = a + i * k;
+    for (std::size_t j = 0; j < n; ++j) {
+      const Real* bj = b + j * k;
+      Real s[kLanes] = {};
+      std::size_t p = 0;
+      for (; p + kLanes <= k; p += kLanes)
+        for (std::size_t l = 0; l < kLanes; ++l) s[l] += ai[p + l] * bj[p + l];
+      for (std::size_t l = 0; p + l < k; ++l) s[l] += ai[p + l] * bj[p + l];
+      for (std::size_t half = kLanes / 2; half > 0; half /= 2)
+        for (std::size_t l = 0; l < half; ++l) s[l] += s[l + half];
+      c[i * n + j] += s[0];
+    }
+  }
+}
+
+/// Geometry of one image plane pair: a channels x h x w input and its
+/// oh x ow output under a k x k kernel.
+struct ConvGeom {
+  std::size_t channels, h, w, k, stride, pad, oh, ow;
+};
+
+/// Output indices o in [lo, hi) whose tap at kernel offset `kk` lands
+/// inside an input axis of length `len`: 0 <= o * stride + kk - pad < len.
+struct TapRange {
+  std::size_t lo, hi;
+};
+
+TapRange tap_range(std::size_t kk, std::size_t len, std::size_t olen,
+                   std::size_t stride, std::size_t pad) {
+  const std::size_t lo = kk >= pad ? 0 : (pad - kk + stride - 1) / stride;
+  const std::size_t hi =
+      len + pad <= kk ? 0 : std::min(olen, (len + pad - kk + stride - 1) / stride);
+  return {std::min(lo, hi), hi};
+}
+
+/// col[(c*k + ki)*k + kj][i*ow + j] = x[c][i*stride + ki - pad][j*stride + kj - pad],
+/// zero where the tap falls in the padding.
+void im2col(const ConvGeom& g, const Real* x, Real* col) {
+  const std::size_t plane = g.oh * g.ow;
+  for (std::size_t c = 0; c < g.channels; ++c)
+    for (std::size_t ki = 0; ki < g.k; ++ki) {
+      const TapRange ri = tap_range(ki, g.h, g.oh, g.stride, g.pad);
+      for (std::size_t kj = 0; kj < g.k; ++kj, col += plane) {
+        const TapRange rj = tap_range(kj, g.w, g.ow, g.stride, g.pad);
+        std::fill_n(col, plane, Real(0));
+        for (std::size_t i = ri.lo; i < ri.hi; ++i) {
+          const Real* xr = x + (c * g.h + i * g.stride + ki - g.pad) * g.w;
+          Real* cr = col + i * g.ow;
+          for (std::size_t j = rj.lo; j < rj.hi; ++j)
+            cr[j] = xr[j * g.stride + kj - g.pad];
+        }
+      }
+    }
+}
+
+/// Adjoint of im2col: x[c][ih][iw] += every col entry im2col read from it.
+void col2im(const ConvGeom& g, const Real* col, Real* x) {
+  const std::size_t plane = g.oh * g.ow;
+  for (std::size_t c = 0; c < g.channels; ++c)
+    for (std::size_t ki = 0; ki < g.k; ++ki) {
+      const TapRange ri = tap_range(ki, g.h, g.oh, g.stride, g.pad);
+      for (std::size_t kj = 0; kj < g.k; ++kj, col += plane) {
+        const TapRange rj = tap_range(kj, g.w, g.ow, g.stride, g.pad);
+        for (std::size_t i = ri.lo; i < ri.hi; ++i) {
+          Real* xr = x + (c * g.h + i * g.stride + ki - g.pad) * g.w;
+          const Real* cr = col + i * g.ow;
+          for (std::size_t j = rj.lo; j < rj.hi; ++j)
+            xr[j * g.stride + kj - g.pad] += cr[j];
+        }
+      }
+    }
+}
+
+/// backward()'s precondition, shared by the layers: forward() ran and
+/// grad_out has the shape it returned.
+void check_grad_out(const char* layer, const Tensor& grad_out,
+                    const std::vector<std::size_t>& out_shape) {
+  if (out_shape.empty())
+    throw std::invalid_argument(std::string(layer) +
+                                "::backward: no forward pass to differentiate");
+  if (grad_out.shape() != out_shape)
+    throw std::invalid_argument(
+        std::string(layer) +
+        "::backward: grad_out shape differs from the last forward output");
+}
+
+/// Resize `t` to `shape` unless it already has it, so scratch buffers are
+/// reallocated only when the input shape changes.
+void ensure_shape(Tensor& t, const std::vector<std::size_t>& shape) {
+  if (t.shape() != shape) t = Tensor(shape);
+}
+
+}  // namespace
 
 std::size_t Layer::param_count() {
   std::size_t n = 0;
@@ -25,6 +167,7 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
       padding_(padding),
       weight_({out_channels, in_channels, kernel, kernel}),
       bias_({out_channels}) {
+  if (kernel == 0) throw std::invalid_argument("Conv2d: kernel must be > 0");
   if (stride == 0) throw std::invalid_argument("Conv2d: stride must be > 0");
   weight_.value.init_kaiming(rng, in_channels * kernel * kernel);
   bias_.value.zero();
@@ -33,65 +176,51 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
 Tensor Conv2d::forward(const Tensor& x) {
   if (x.rank() != 4 || x.dim(1) != in_ch_)
     throw std::invalid_argument("Conv2d: expected [N, C_in, H, W]");
-  input_ = x;
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::size_t oh = (h + 2 * padding_ - kernel_) / stride_ + 1;
-  const std::size_t ow = (w + 2 * padding_ - kernel_) / stride_ + 1;
-  Tensor y({n, out_ch_, oh, ow});
-  for (std::size_t b = 0; b < n; ++b)
+  if (kernel_ > h + 2 * padding_ || kernel_ > w + 2 * padding_)
+    throw std::invalid_argument("Conv2d: kernel larger than the padded input");
+  const ConvGeom g{in_ch_, h, w, kernel_, stride_, padding_,
+                   (h + 2 * padding_ - kernel_) / stride_ + 1,
+                   (w + 2 * padding_ - kernel_) / stride_ + 1};
+  const std::size_t rows = in_ch_ * kernel_ * kernel_, plane = g.oh * g.ow;
+  Tensor y({n, out_ch_, g.oh, g.ow});
+  ensure_shape(cols_, {n, rows, plane});
+  in_shape_ = x.shape();
+  out_shape_ = y.shape();
+
+  const Real* bias = bias_.value.data().data();
+  for (std::size_t b = 0; b < n; ++b) {
+    Real* col = cols_.data_mut().data() + b * rows * plane;
+    Real* yb = y.data_mut().data() + b * out_ch_ * plane;
+    im2col(g, x.data().data() + b * in_ch_ * h * w, col);
     for (std::size_t oc = 0; oc < out_ch_; ++oc)
-      for (std::size_t i = 0; i < oh; ++i)
-        for (std::size_t j = 0; j < ow; ++j) {
-          Real acc = bias_.value[oc];
-          for (std::size_t ic = 0; ic < in_ch_; ++ic)
-            for (std::size_t ki = 0; ki < kernel_; ++ki)
-              for (std::size_t kj = 0; kj < kernel_; ++kj) {
-                const std::ptrdiff_t ih =
-                    static_cast<std::ptrdiff_t>(i * stride_ + ki) -
-                    static_cast<std::ptrdiff_t>(padding_);
-                const std::ptrdiff_t iw =
-                    static_cast<std::ptrdiff_t>(j * stride_ + kj) -
-                    static_cast<std::ptrdiff_t>(padding_);
-                if (ih < 0 || iw < 0 || ih >= static_cast<std::ptrdiff_t>(h) ||
-                    iw >= static_cast<std::ptrdiff_t>(w))
-                  continue;
-                acc += weight_.value.at4(oc, ic, ki, kj) *
-                       x.at4(b, ic, static_cast<std::size_t>(ih),
-                             static_cast<std::size_t>(iw));
-              }
-          y.at4(b, oc, i, j) = acc;
-        }
+      std::fill_n(yb + oc * plane, plane, bias[oc]);
+    gemm_nn(out_ch_, plane, rows, weight_.value.data().data(), col, yb);
+  }
   return y;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  const std::size_t n = input_.dim(0), h = input_.dim(2), w = input_.dim(3);
-  const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  Tensor grad_in(input_.shape());
-  for (std::size_t b = 0; b < n; ++b)
+  check_grad_out("Conv2d", grad_out, out_shape_);
+  const ConvGeom g{in_ch_,  in_shape_[2], in_shape_[3],  kernel_,
+                   stride_, padding_,     out_shape_[2], out_shape_[3]};
+  const std::size_t n = in_shape_[0], rows = in_ch_ * kernel_ * kernel_,
+                    plane = g.oh * g.ow;
+  Tensor grad_in(in_shape_);
+  ensure_shape(dcols_, {rows, plane});
+  Real* dcols = dcols_.data_mut().data();
+  Real* bias_grad = bias_.grad.data_mut().data();
+  for (std::size_t b = 0; b < n; ++b) {
+    const Real* gb = grad_out.data().data() + b * out_ch_ * plane;
     for (std::size_t oc = 0; oc < out_ch_; ++oc)
-      for (std::size_t i = 0; i < oh; ++i)
-        for (std::size_t j = 0; j < ow; ++j) {
-          const Real g = grad_out.at4(b, oc, i, j);
-          bias_.grad[oc] += g;
-          for (std::size_t ic = 0; ic < in_ch_; ++ic)
-            for (std::size_t ki = 0; ki < kernel_; ++ki)
-              for (std::size_t kj = 0; kj < kernel_; ++kj) {
-                const std::ptrdiff_t ih =
-                    static_cast<std::ptrdiff_t>(i * stride_ + ki) -
-                    static_cast<std::ptrdiff_t>(padding_);
-                const std::ptrdiff_t iw =
-                    static_cast<std::ptrdiff_t>(j * stride_ + kj) -
-                    static_cast<std::ptrdiff_t>(padding_);
-                if (ih < 0 || iw < 0 || ih >= static_cast<std::ptrdiff_t>(h) ||
-                    iw >= static_cast<std::ptrdiff_t>(w))
-                  continue;
-                const auto ihs = static_cast<std::size_t>(ih);
-                const auto iws = static_cast<std::size_t>(iw);
-                weight_.grad.at4(oc, ic, ki, kj) += g * input_.at4(b, ic, ihs, iws);
-                grad_in.at4(b, ic, ihs, iws) += g * weight_.value.at4(oc, ic, ki, kj);
-              }
-        }
+      for (std::size_t j = 0; j < plane; ++j) bias_grad[oc] += gb[oc * plane + j];
+    // dW += G * cols^T, dcols = W^T * G, then scatter dcols into grad_in.
+    gemm_nt(out_ch_, rows, plane, gb, cols_.data().data() + b * rows * plane,
+            weight_.grad.data_mut().data());
+    std::fill_n(dcols, rows * plane, Real(0));
+    gemm_tn(rows, plane, out_ch_, weight_.value.data().data(), gb, dcols);
+    col2im(g, dcols, grad_in.data_mut().data() + b * in_ch_ * g.h * g.w);
+  }
   return grad_in;
 }
 
@@ -112,28 +241,29 @@ Tensor Linear::forward(const Tensor& x) {
   input_ = x;
   const std::size_t n = x.dim(0);
   Tensor y({n, out_f_});
+  out_shape_ = y.shape();
+  const auto bias = bias_.value.data();
   for (std::size_t b = 0; b < n; ++b)
-    for (std::size_t o = 0; o < out_f_; ++o) {
-      Real acc = bias_.value[o];
-      for (std::size_t i = 0; i < in_f_; ++i)
-        acc += weight_.value.at2(o, i) * x.at2(b, i);
-      y.at2(b, o) = acc;
-    }
+    std::copy(bias.begin(), bias.end(), y.data_mut().begin() + b * out_f_);
+  // y += x * W^T
+  gemm_nt(n, out_f_, in_f_, x.data().data(), weight_.value.data().data(),
+          y.data_mut().data());
   return y;
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-  const std::size_t n = input_.dim(0);
-  Tensor grad_in({n, in_f_});
+  check_grad_out("Linear", grad_out, out_shape_);
+  const std::size_t n = out_shape_[0];
+  const Real* g = grad_out.data().data();
+  Real* bias_grad = bias_.grad.data_mut().data();
   for (std::size_t b = 0; b < n; ++b)
-    for (std::size_t o = 0; o < out_f_; ++o) {
-      const Real g = grad_out.at2(b, o);
-      bias_.grad[o] += g;
-      for (std::size_t i = 0; i < in_f_; ++i) {
-        weight_.grad.at2(o, i) += g * input_.at2(b, i);
-        grad_in.at2(b, i) += g * weight_.value.at2(o, i);
-      }
-    }
+    for (std::size_t o = 0; o < out_f_; ++o) bias_grad[o] += g[b * out_f_ + o];
+  // dW += G^T * x, grad_in = G * W
+  gemm_tn(out_f_, in_f_, n, g, input_.data().data(),
+          weight_.grad.data_mut().data());
+  Tensor grad_in({n, in_f_});
+  gemm_nn(n, in_f_, out_f_, g, weight_.value.data().data(),
+          grad_in.data_mut().data());
   return grad_in;
 }
 
@@ -148,6 +278,7 @@ Tensor ReLU::forward(const Tensor& x) {
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
+  check_grad_out("ReLU", grad_out, input_.shape());
   Tensor grad_in = grad_out;
   auto gi = grad_in.data_mut();
   const auto xi = input_.data();
@@ -166,6 +297,7 @@ Tensor Sigmoid::forward(const Tensor& x) {
 }
 
 Tensor Sigmoid::backward(const Tensor& grad_out) {
+  check_grad_out("Sigmoid", grad_out, output_.shape());
   Tensor grad_in = grad_out;
   auto gi = grad_in.data_mut();
   const auto yo = output_.data();
@@ -186,6 +318,7 @@ Tensor MaxPool2d::forward(const Tensor& x) {
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = h / kernel_, ow = w / kernel_;
   Tensor y({n, c, oh, ow});
+  out_shape_ = y.shape();
   argmax_.assign(y.numel(), 0);
   std::size_t out_idx = 0;
   for (std::size_t b = 0; b < n; ++b)
@@ -210,6 +343,7 @@ Tensor MaxPool2d::forward(const Tensor& x) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
+  check_grad_out("MaxPool2d", grad_out, out_shape_);
   Tensor grad_in(in_shape_);
   const auto go = grad_out.data();
   auto gi = grad_in.data_mut();
@@ -220,9 +354,12 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
 // --------------------------------------------------------------- Flatten --
 
 Tensor Flatten::forward(const Tensor& x) {
-  in_shape_ = x.shape();
   const std::size_t n = x.dim(0);
-  return x.reshaped({n, x.numel() / n});
+  in_shape_ = x.shape();
+  const std::size_t features =
+      std::accumulate(in_shape_.begin() + 1, in_shape_.end(), std::size_t{1},
+                      std::multiplies<>());
+  return x.reshaped({n, features});
 }
 
 Tensor Flatten::backward(const Tensor& grad_out) {

@@ -1,5 +1,7 @@
 // Layers with explicit forward/backward passes (reverse-mode autodiff by
-// hand — the networks are LeNet-scale so naive loops are the right tool).
+// hand). Conv2d and Linear run on one row-major GEMM (Conv2d through
+// im2col); it is single-threaded and plain C++, so a network's outputs do
+// not depend on QUGEO_THREADS or QUGEO_SIMD.
 #pragma once
 
 #include <memory>
@@ -12,7 +14,9 @@ namespace qugeo::nn {
 
 /// Base class for differentiable layers. forward() caches whatever backward()
 /// needs; backward() receives dL/d(output) and returns dL/d(input), adding
-/// parameter gradients into the layer's Param::grad tensors.
+/// parameter gradients into the layer's Param::grad tensors. backward()
+/// throws std::invalid_argument when no forward() ran or grad_out's shape
+/// differs from the last forward() output's.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -29,7 +33,10 @@ class Layer {
   [[nodiscard]] std::size_t param_count();
 };
 
-/// 2-D convolution over [N, C, H, W] with zero padding.
+/// 2-D convolution over [N, C, H, W] with zero padding, as im2col plus
+/// one GEMM per batch item. The constructor rejects kernel or stride 0;
+/// forward() throws std::invalid_argument when the kernel is larger than
+/// the padded input.
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -45,7 +52,9 @@ class Conv2d final : public Layer {
   std::size_t in_ch_, out_ch_, kernel_, stride_, padding_;
   Param weight_;  // [out, in, k, k]
   Param bias_;    // [out]
-  Tensor input_;
+  std::vector<std::size_t> in_shape_, out_shape_;  // of the last forward()
+  Tensor cols_;   // [N, in*k*k, OH*OW]: im2col of the last forward() input
+  Tensor dcols_;  // [in*k*k, OH*OW]: backward() scratch, one batch item
 };
 
 /// Fully connected layer over [N, F].
@@ -63,6 +72,7 @@ class Linear final : public Layer {
   Param weight_;  // [out, in]
   Param bias_;    // [out]
   Tensor input_;
+  std::vector<std::size_t> out_shape_;  // of the last forward()
 };
 
 /// Elementwise rectified linear unit.
@@ -100,10 +110,10 @@ class MaxPool2d final : public Layer {
  private:
   std::size_t kernel_;
   std::vector<std::size_t> argmax_;
-  std::vector<std::size_t> in_shape_;
+  std::vector<std::size_t> in_shape_, out_shape_;  // of the last forward()
 };
 
-/// [N, C, H, W] -> [N, C*H*W].
+/// [N, C, H, W] -> [N, C*H*W] (any rank: dims 1 and up fold into one).
 class Flatten final : public Layer {
  public:
   [[nodiscard]] Tensor forward(const Tensor& x) override;

@@ -1,15 +1,23 @@
 #include "nn/tensor.h"
 
+#include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <limits>
 #include <stdexcept>
 
 namespace qugeo::nn {
 namespace {
 
+/// Element count of `shape`; a product that wraps would size the buffer
+/// smaller than the indices the shape admits, so it throws instead.
 std::size_t shape_numel(const std::vector<std::size_t>& shape) {
-  return std::accumulate(shape.begin(), shape.end(), std::size_t{1},
-                         std::multiplies<>());
+  std::size_t n = 1;
+  for (const std::size_t d : shape) {
+    if (d != 0 && n > std::numeric_limits<std::size_t>::max() / d)
+      throw std::invalid_argument("Tensor: shape element count overflows size_t");
+    n *= d;
+  }
+  return n;
 }
 
 }  // namespace
@@ -21,23 +29,6 @@ Tensor::Tensor(std::vector<std::size_t> shape, std::vector<Real> data)
     : shape_(std::move(shape)), data_(std::move(data)) {
   if (data_.size() != shape_numel(shape_))
     throw std::invalid_argument("Tensor: data size does not match shape");
-}
-
-Real Tensor::at4(std::size_t n, std::size_t c, std::size_t h,
-                 std::size_t w) const {
-  return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-
-Real& Tensor::at4(std::size_t n, std::size_t c, std::size_t h, std::size_t w) {
-  return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-
-Real Tensor::at2(std::size_t n, std::size_t f) const {
-  return data_[n * shape_[1] + f];
-}
-
-Real& Tensor::at2(std::size_t n, std::size_t f) {
-  return data_[n * shape_[1] + f];
 }
 
 Tensor Tensor::reshaped(std::vector<std::size_t> new_shape) const {

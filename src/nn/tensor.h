@@ -1,9 +1,11 @@
 // Minimal dense row-major tensor for the classical NN substrate.
 //
-// Scope is deliberately narrow: the QuGeo CNNs are tiny (hundreds of
-// parameters), so clarity beats BLAS here. Shapes follow the PyTorch
-// conventions used by the paper's baselines: [N, C, H, W] for images and
-// [N, F] for fully-connected activations.
+// Scope is deliberately narrow: the layers run their arithmetic on raw
+// row-major buffers (nn/layers.cpp), so the tensor only owns a shape and
+// its data. The element accessors are defined here so they inline into
+// the loops that use them. Shapes follow the PyTorch conventions used by
+// the paper's baselines: [N, C, H, W] for images and [N, F] for
+// fully-connected activations.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +21,8 @@ namespace qugeo::nn {
 class Tensor {
  public:
   Tensor() = default;
+  /// Both constructors throw std::invalid_argument when the product of the
+  /// shape's dims overflows std::size_t.
   explicit Tensor(std::vector<std::size_t> shape);
   Tensor(std::vector<std::size_t> shape, std::vector<Real> data);
 
@@ -35,12 +39,18 @@ class Tensor {
 
   /// 4-D accessor for [N, C, H, W] tensors.
   [[nodiscard]] Real at4(std::size_t n, std::size_t c, std::size_t h,
-                         std::size_t w) const;
-  Real& at4(std::size_t n, std::size_t c, std::size_t h, std::size_t w);
+                         std::size_t w) const {
+    return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
+  }
+  Real& at4(std::size_t n, std::size_t c, std::size_t h, std::size_t w) {
+    return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
+  }
 
   /// 2-D accessor for [N, F] tensors.
-  [[nodiscard]] Real at2(std::size_t n, std::size_t f) const;
-  Real& at2(std::size_t n, std::size_t f);
+  [[nodiscard]] Real at2(std::size_t n, std::size_t f) const {
+    return data_[n * shape_[1] + f];
+  }
+  Real& at2(std::size_t n, std::size_t f) { return data_[n * shape_[1] + f]; }
 
   /// Same data, different shape (numel must match).
   [[nodiscard]] Tensor reshaped(std::vector<std::size_t> new_shape) const;

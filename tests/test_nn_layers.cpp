@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/loss.h"
@@ -100,12 +103,31 @@ TEST(Conv2d, GradCheck) {
   Rng rng(4);
   Conv2d conv(2, 2, 3, 1, 1, rng);
   grad_check(conv, random_tensor({1, 2, 5, 5}, rng));
+  grad_check(conv, random_tensor({2, 2, 5, 5}, rng));
+  // Rectangular plane, padded, stride 2.
+  Conv2d strided(2, 3, 3, 2, 1, rng);
+  grad_check(strided, random_tensor({2, 2, 6, 9}, rng));
 }
 
 TEST(Conv2d, GradCheckStridedUnpadded) {
   Rng rng(5);
   Conv2d conv(1, 2, 3, 2, 0, rng);
   grad_check(conv, random_tensor({1, 1, 7, 7}, rng));
+  grad_check(conv, random_tensor({2, 1, 7, 7}, rng));
+}
+
+TEST(Conv2d, RejectsKernelLargerThanPaddedInput) {
+  Rng rng(14);
+  EXPECT_THROW(Conv2d(1, 1, 0, 1, 0, rng), std::invalid_argument);
+  Conv2d conv(1, 1, 5, 1, 0, rng);
+  EXPECT_THROW((void)conv.forward(random_tensor({1, 1, 3, 3}, rng)),
+               std::invalid_argument);
+  EXPECT_THROW((void)conv.forward(random_tensor({1, 1, 8, 4}, rng)),
+               std::invalid_argument);
+  // Padding makes room: 3 + 2*1 = 5 fits the kernel exactly.
+  Conv2d padded(1, 1, 5, 1, 1, rng);
+  const Tensor y = padded.forward(random_tensor({1, 1, 3, 3}, rng));
+  EXPECT_EQ(y.shape(), (std::vector<std::size_t>{1, 1, 1, 1}));
 }
 
 TEST(Linear, KnownProduct) {
@@ -190,6 +212,45 @@ TEST(Flatten, RoundTrip) {
   EXPECT_EQ(y.shape(), (std::vector<std::size_t>{2, 12}));
   const Tensor g = f.backward(y);
   EXPECT_EQ(g.shape(), x.shape());
+}
+
+TEST(Flatten, EmptyBatchKeepsFeatureCount) {
+  Flatten f;
+  const Tensor y = f.forward(Tensor({0, 3, 2, 2}));
+  EXPECT_EQ(y.shape(), (std::vector<std::size_t>{0, 12}));
+  EXPECT_EQ(f.backward(y).shape(), (std::vector<std::size_t>{0, 3, 2, 2}));
+}
+
+/// Every layer's backward() rejects a gradient whose shape is not the last
+/// forward() output's, and a backward() with no forward() before it.
+TEST(Layers, BackwardRejectsMismatchedGradient) {
+  Rng rng(15);
+  struct Case {
+    std::unique_ptr<Layer> layer;
+    std::vector<std::size_t> in_shape;
+  };
+  std::vector<Case> cases;
+  cases.push_back({std::make_unique<Conv2d>(1, 2, 3, 1, 1, rng), {1, 1, 4, 4}});
+  cases.push_back({std::make_unique<Linear>(4, 3, rng), {1, 4}});
+  cases.push_back({std::make_unique<ReLU>(), {2, 3}});
+  cases.push_back({std::make_unique<Sigmoid>(), {2, 3}});
+  cases.push_back({std::make_unique<MaxPool2d>(2), {1, 2, 4, 4}});
+  for (Case& c : cases) {
+    Layer& layer = *c.layer;
+    EXPECT_THROW((void)layer.backward(Tensor({1, 2})), std::invalid_argument)
+        << layer.name() << " before forward";
+    const Tensor y = layer.forward(random_tensor(c.in_shape, rng));
+    std::vector<std::size_t> fewer = y.shape(), more = y.shape();
+    fewer.back() -= 1;
+    more.back() += 1;
+    EXPECT_THROW((void)layer.backward(Tensor(fewer)), std::invalid_argument)
+        << layer.name();
+    EXPECT_THROW((void)layer.backward(Tensor(more)), std::invalid_argument)
+        << layer.name();
+    EXPECT_THROW((void)layer.backward(y.reshaped({y.numel()})), std::invalid_argument)
+        << layer.name();
+    EXPECT_EQ(layer.backward(y).shape(), c.in_shape) << layer.name();
+  }
 }
 
 TEST(Sequential, ChainsAndCountsParams) {

@@ -1,6 +1,9 @@
 // Tensor container semantics.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "nn/tensor.h"
 
 namespace qugeo::nn {
@@ -22,6 +25,20 @@ TEST(Tensor, ConstructFromData) {
 
 TEST(Tensor, DataShapeMismatchThrows) {
   EXPECT_THROW(Tensor({2, 2}, {1, 2, 3}), std::invalid_argument);
+}
+
+TEST(Tensor, ShapeProductOverflowThrows) {
+  // (2^64 - 1)^2 wraps to 1 in size_t, which would size the buffer at one
+  // element for a shape that admits 2^128 indices.
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(Tensor({huge, huge}), std::invalid_argument);
+  EXPECT_THROW(Tensor({huge, huge}, {1.0}), std::invalid_argument);
+  EXPECT_THROW(Tensor({std::size_t{1} << 33, std::size_t{1} << 33}),
+               std::invalid_argument);
+  const Tensor t({2, 2}, {1, 2, 3, 4});
+  EXPECT_THROW((void)t.reshaped({huge, huge, 4}), std::invalid_argument);
+  // A zero dim makes the product 0, whatever the other dims are.
+  EXPECT_EQ(Tensor({0, huge}).numel(), 0u);
 }
 
 TEST(Tensor, At4RowMajorLayout) {
