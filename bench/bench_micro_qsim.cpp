@@ -2,17 +2,13 @@
 // full QuGeoVQC ansatz execution, adjoint gradients, encoder synthesis —
 // the quantities behind the QuBatch complexity argument (Sec. 3.3.3).
 //
-// The binary doubles as two CI perf gates. After the benchmark run, main()
-// re-times the frozen-heavy adjoint gradient with and without the plan and
-// exits non-zero below 1.3x — the speedup the fused training path is built
-// to deliver on frozen-heavy shapes. It also exits non-zero when one
-// adjoint_backward on the paper's ansatz costs more than 5x one
-// run_circuit (the single-pass sweep's budget).
+// The binary doubles as a CI perf gate: after the benchmark run, main()
+// exits non-zero when one adjoint_backward on the paper's ansatz costs more
+// than 5x one run_circuit (the single-pass sweep's budget).
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
 
-#include <chrono>
 #include <cstdio>
 
 #include "common/rng.h"
@@ -20,7 +16,6 @@
 #include "core/encoder.h"
 #include "qsim/encoding.h"
 #include "qsim/executor.h"
-#include "qsim/gradient_plan.h"
 #include "qsim/observables.h"
 
 namespace {
@@ -132,52 +127,6 @@ void BM_AdjointGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_AdjointGradient)->Arg(4)->Arg(12)->Arg(24);
 
-/// Transfer-learning shape: each block carries the paper's full U3+CU3
-/// layer with FROZEN (literal) angles plus one trainable RY — the
-/// frozen-heavy regime where GradientPlan's literal-segment fusion pays
-/// (the all-trainable ansatz above is plan-invariant by design).
-qsim::Circuit frozen_heavy_ansatz(Index qubits, std::size_t blocks,
-                                  std::uint64_t seed) {
-  Rng rng(seed);
-  qsim::Circuit c(qubits);
-  const auto p = c.new_params(static_cast<std::uint32_t>(blocks));
-  for (std::size_t b = 0; b < blocks; ++b) {
-    for (Index q = 0; q < qubits; ++q)
-      c.u3(q, rng.uniform(-kPi, kPi), rng.uniform(-kPi, kPi),
-           rng.uniform(-kPi, kPi));
-    for (Index q = 0; q + 1 < qubits; ++q)
-      c.cu3(q, q + 1, rng.uniform(-kPi, kPi), rng.uniform(-kPi, kPi),
-            rng.uniform(-kPi, kPi));
-    c.ry(0, qsim::ParamRef{p.id + static_cast<std::uint32_t>(b)});
-  }
-  return c;
-}
-
-void BM_AdjointGradientFrozenHeavy(benchmark::State& state) {
-  // Arg 0 = the verbatim op stream (the reference the gate compares
-  // against), Arg 1 = the gradient-plan form loss_and_gradient executes.
-  const bool use_plan = state.range(0) != 0;
-  const qsim::Circuit source = frozen_heavy_ansatz(8, 12, 21);
-  const qsim::GradientPlan plan = qsim::GradientPlan::build(source);
-  const qsim::Circuit& c = use_plan ? plan.execution_form(source) : source;
-  std::vector<Real> params(source.num_params());
-  Rng rng(22);
-  rng.fill_uniform(params, -1, 1);
-  std::vector<Real> g(256);
-  rng.fill_uniform(g, -1, 1);
-  for (auto _ : state) {
-    qsim::StateVector psi(8);
-    qsim::run_circuit(c, params, psi);
-    const auto cot = qsim::cotangent_from_probability_grads(psi, g);
-    const auto adj = qsim::adjoint_backward(c, params, std::move(psi), cot);
-    benchmark::DoNotOptimize(adj.param_grads.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(source.num_params()));
-  state.counters["plan_ops"] = static_cast<double>(c.num_ops());
-}
-BENCHMARK(BM_AdjointGradientFrozenHeavy)->Arg(0)->Arg(1);
-
 void BM_QuBatchForward(benchmark::State& state) {
   // The Sec. 3.3.3 claim in silico: processing 2^N samples in one circuit
   // costs one 2^(8+N)-dim execution instead of 2^N separate 2^8-dim runs.
@@ -236,63 +185,6 @@ void BM_MarginalProbabilities(benchmark::State& state) {
 }
 BENCHMARK(BM_MarginalProbabilities)->Arg(8)->Arg(12)->Arg(16);
 
-/// Best of five wall times, in ms, of `iters` back-to-back calls of `body`.
-template <typename Body>
-double best_of_ms(int iters, const Body& body) {
-  using clock = std::chrono::steady_clock;
-  double best = 1e300;
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto t0 = clock::now();
-    for (int it = 0; it < iters; ++it) body();
-    const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
-    best = std::min(best, dt.count());
-  }
-  return best;
-}
-
-/// CI perf gate: the gradient-plan form of the frozen-heavy adjoint
-/// gradient must be >= 1.3x faster than the verbatim op stream. Best-of-R
-/// timing of K full gradients each (forward + reverse sweep).
-int adjoint_fusion_guard() {
-  const qsim::Circuit source = frozen_heavy_ansatz(8, 12, 21);
-  const qsim::GradientPlan plan = qsim::GradientPlan::build(source);
-  const qsim::Circuit& fused = plan.execution_form(source);
-  std::vector<Real> params(source.num_params());
-  Rng rng(22);
-  rng.fill_uniform(params, -1, 1);
-  std::vector<Real> g(256);
-  rng.fill_uniform(g, -1, 1);
-
-  constexpr int kIters = 60;
-  constexpr double kRequiredSpeedup = 1.3;
-  const auto best_of = [&](const qsim::Circuit& c) {
-    return best_of_ms(kIters, [&] {
-      qsim::StateVector psi(8);
-      qsim::run_circuit(c, params, psi);
-      const auto cot = qsim::cotangent_from_probability_grads(psi, g);
-      const auto adj = qsim::adjoint_backward(c, params, std::move(psi), cot);
-      benchmark::DoNotOptimize(adj.param_grads.data());
-    });
-  };
-
-  best_of(source);  // warm caches/pages before the measured passes
-  const double unfused_ms = best_of(source);
-  const double fused_ms = best_of(fused);
-  const double speedup = unfused_ms / fused_ms;
-  std::printf(
-      "adjoint fusion guard: frozen-heavy 8q/12-block gradient %zu -> %zu "
-      "ops, unfused %.3f ms, fused %.3f ms (%.2fx, need >= %.1fx)\n",
-      source.num_ops(), fused.num_ops(), unfused_ms, fused_ms, speedup,
-      kRequiredSpeedup);
-  if (speedup < kRequiredSpeedup) {
-    std::fprintf(stderr,
-                 "adjoint fusion guard FAILED: %.2fx < required %.1fx\n",
-                 speedup, kRequiredSpeedup);
-    return 1;
-  }
-  return 0;
-}
-
 /// CI perf gate: on the paper's 8-qubit, 12-block ansatz one
 /// adjoint_backward must cost at most 5x one run_circuit. The single-pass
 /// sweep visits each trainable gate's index pairs once; a sweep that goes
@@ -323,9 +215,9 @@ int adjoint_cost_guard() {
     benchmark::DoNotOptimize(adj.param_grads.data());
   };
 
-  best_of_ms(kIters, backward);  // warm caches/pages before measuring
-  const double forward_ms = best_of_ms(kIters, forward);
-  const double backward_ms = best_of_ms(kIters, backward);
+  bench::best_of_ms(kIters, backward);  // warm caches/pages before measuring
+  const double forward_ms = bench::best_of_ms(kIters, forward);
+  const double backward_ms = bench::best_of_ms(kIters, backward);
   const double ratio = backward_ms / forward_ms;
   std::printf(
       "adjoint cost guard: 8q/12-block ansatz, %d x run_circuit %.3f ms, "
@@ -344,7 +236,5 @@ int adjoint_cost_guard() {
 int main(int argc, char** argv) {
   const int rc = qugeo::bench::run_micro_benchmarks(argc, argv);
   if (rc != 0) return rc;
-  const int fusion_rc = adjoint_fusion_guard();
-  const int cost_rc = adjoint_cost_guard();
-  return fusion_rc != 0 ? fusion_rc : cost_rc;
+  return adjoint_cost_guard();
 }

@@ -1,7 +1,6 @@
 // Microbenchmarks of the training loop: one full train_model epoch (the
-// data-parallel per-chunk gradient accumulation on the shared pool) and the
-// per-chunk cost of a gradient-plan cache hit. Merges into BENCH_micro.json
-// like every micro suite.
+// data-parallel per-chunk gradient accumulation on the shared pool). Merges
+// into BENCH_micro.json like every micro suite.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
@@ -77,25 +76,6 @@ void BM_TrainEpoch(benchmark::State& state) {
                           static_cast<std::int64_t>(split.train.size()));
 }
 BENCHMARK(BM_TrainEpoch);
-
-void BM_GradientPlanCacheHit(benchmark::State& state) {
-  // The per-chunk cost of the memoized gradient plan after the first
-  // build: one structural key match under the cache mutex.
-  Rng init(63);
-  core::QuGeoModel model(tiny_model(), init);
-  Rng rng(64);
-  data::ScaledDataset ds = synthetic_dataset(2, 8, 3, 2, rng);
-  std::vector<const data::ScaledSample*> chunk = {&ds.samples[0]};
-  std::vector<Real> grads(model.num_params(), Real(0));
-  (void)model.loss_and_gradient(chunk, grads);  // warm: builds the plan
-  for (auto _ : state) {
-    const Real loss = model.loss_and_gradient(chunk, grads);
-    benchmark::DoNotOptimize(loss);
-  }
-  // Gradient evaluations served per second (each = 2 plan lookups).
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_GradientPlanCacheHit);
 
 }  // namespace
 

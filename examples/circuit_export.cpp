@@ -2,8 +2,7 @@
 // state-preparation synthesis (uniformly controlled RY rotations) and the
 // trained U3+CU3 ansatz — plus depth/size statistics for a hardware-budget
 // discussion. The exported text is parsed back with from_qasm and checked
-// for a faithful round trip, and the backend canonicalization pass
-// (single-qubit run fusion) is reported alongside the peephole stats.
+// for a faithful round trip.
 //
 // Run:  ./circuit_export [output.qasm]
 #include <algorithm>
@@ -64,16 +63,6 @@ int main(int argc, char** argv) {
               full.two_qubit_op_count(), full.depth(),
               ostats.ops_before - ostats.ops_after, ostats.cancelled_pairs,
               ostats.fused_rotations, ostats.dropped_identities);
-
-  // What the backends actually execute: literal 1q runs fused to single
-  // U3/Phase gates (the synthesis emits many adjacent literal rotations).
-  qsim::FuseStats fstats;
-  const qsim::Circuit canon = qsim::fuse_gate_runs(full, &fstats);
-  std::printf("%-22s | %7zu | %7zu | %7zu | %7zu   (%zu u3 runs, %zu "
-              "diagonal runs)\n",
-              "  backend canonical", canon.num_qubits(), canon.num_ops(),
-              canon.two_qubit_op_count(), canon.depth(), fstats.fused_runs,
-              fstats.merged_diagonal_runs);
 
   const std::string qasm = qsim::to_qasm(full, full_params);
   // Round trip: the export dialect must read back op-for-op.

@@ -6,6 +6,7 @@
 //   4. invert a held-out shot gather back into a velocity map.
 //
 // Run:  ./quickstart
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -13,7 +14,6 @@
 #include "common/cpu_features.h"
 #include "core/experiment.h"
 #include "qsim/executor.h"
-#include "qsim/optimizer.h"
 
 int main() {
   using namespace qugeo;
@@ -81,46 +81,35 @@ int main() {
               "per pixel\n",
               drift / static_cast<Real>(pred.size()));
 
-  // Bonus: two-qubit run fusion on the deployed circuit. Freezing the
-  // trained angles into literals lets canonicalize_for_backend collapse the
-  // U3+CU3 structure into block-diagonal / dense fused kernels; the timing
-  // line below makes the docs' speedup claim reproducible from here.
+  // Bonus: the SIMD layer underneath the forward pass (docs/ARCHITECTURE.md,
+  // "SIMD kernels"): the trained ansatz on the scalar reference kernels vs
+  // the auto-dispatched ones.
   {
     const auto params = model.parameters();
-    const qsim::Circuit frozen = qsim::bind_parameters(
-        model.ansatz(),
-        std::span<const Real>(params).first(model.num_quantum_params()));
-    const qsim::Circuit fused = qsim::canonicalize_for_backend(frozen);
-    const auto time_forward = [&](const qsim::Circuit& circ) {
+    const auto theta =
+        std::span<const Real>(params).first(model.num_quantum_params());
+    const auto time_forward = [&] {
       using clock = std::chrono::steady_clock;
       double best = 1e300;
       for (int rep = 0; rep < 3; ++rep) {
         const auto t0 = clock::now();
         for (int it = 0; it < 20; ++it) {
-          qsim::StateVector psi(circ.num_qubits());
-          qsim::run_circuit(circ, {}, psi);
+          qsim::StateVector psi(model.ansatz().num_qubits());
+          qsim::run_circuit(model.ansatz(), theta, psi);
         }
         const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
         best = std::min(best, dt.count() / 20);
       }
       return best;
     };
-    const double off_ms = time_forward(frozen);
-    const double on_ms = time_forward(fused);
-    std::printf("\n  frozen-ansatz forward, fusion off %zu ops %.3f ms | "
-                "fusion on %zu ops %.3f ms (%.2fx)\n",
-                frozen.num_ops(), off_ms, fused.num_ops(), on_ms,
-                off_ms / on_ms);
-
-    // ...and the SIMD layer underneath it (docs/ARCHITECTURE.md, "SIMD
-    // kernels"): the same fused forward on the scalar reference kernels vs
-    // the auto-dispatched ones.
     const double scalar_ms = [&] {
       simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
-      return time_forward(fused);
+      return time_forward();
     }();
-    const double auto_ms = time_forward(fused);  // process-default dispatch
-    std::printf("  kernels: scalar %.3f ms | %s %.3f ms (%.2fx)\n", scalar_ms,
+    const double auto_ms = time_forward();  // process-default dispatch
+    std::printf("\n  ansatz forward (%zu ops): scalar %.3f ms | %s %.3f ms "
+                "(%.2fx)\n",
+                model.ansatz().num_ops(), scalar_ms,
                 simd::simd_level_name(simd::active_level()).data(), auto_ms,
                 scalar_ms / auto_ms);
   }

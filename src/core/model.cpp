@@ -5,7 +5,6 @@
 #include "common/fault.h"
 #include "common/parallel.h"
 #include "qsim/executor.h"
-#include "qsim/gradient_plan.h"
 #include "qsim/observables.h"
 
 namespace qugeo::core {
@@ -13,7 +12,6 @@ namespace qugeo::core {
 QuGeoModel::QuGeoModel(const ModelConfig& config, Rng& init_rng)
     : config_(config),
       exec_(qsim::apply_env_overrides(config.execution)),
-      compile_cache_(std::make_shared<qsim::CompiledCircuitCache>()),
       layout_(config.group_data_qubits, config.batch_log2),
       ansatz_(build_qugeo_ansatz(layout_, config.ansatz)),
       encoder_(layout_),
@@ -41,19 +39,12 @@ void QuGeoModel::set_parameters(std::span<const Real> params) {
     decoder_->set_classical_param(i, params[theta_.size() + i]);
 }
 
-const qsim::Circuit& QuGeoModel::gradient_form(
-    std::shared_ptr<const qsim::GradientPlan>& keepalive) const {
-  keepalive = compile_cache_->gradient_plan(ansatz_);
-  return keepalive->execution_form(ansatz_);
-}
-
 qsim::StateVector QuGeoModel::run_forward(
     std::span<const data::ScaledSample* const> chunk) const {
   std::vector<const std::vector<Real>*> waves(chunk.size());
   for (std::size_t i = 0; i < chunk.size(); ++i) waves[i] = &chunk[i]->waveform;
   qsim::StateVector psi = encoder_.encode(waves);
-  std::shared_ptr<const qsim::GradientPlan> plan;
-  qsim::run_circuit(gradient_form(plan), theta_, psi);
+  qsim::run_circuit(ansatz_, theta_, psi);
   return psi;
 }
 
@@ -72,10 +63,6 @@ std::vector<Real> QuGeoModel::run_forward_probabilities(
   // i's trajectory t collide with chunk i+1's trajectory t-1 — adjacent
   // samples would see nearly identical noise realizations.
   qsim::ExecutionConfig chunk_exec = exec;
-  // Share the model's compiled-circuit cache across chunks and predict
-  // calls (the ansatz structure is fixed) unless the caller brought its
-  // own; canonicalization then runs once per backend kind, ever.
-  if (!chunk_exec.compile_cache) chunk_exec.compile_cache = compile_cache_;
   std::uint64_t z = exec.seed + 0x9e3779b97f4a7c15ULL * (stream + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
@@ -153,12 +140,8 @@ Real QuGeoModel::loss_and_gradient(
   const std::vector<Real> dp = decoder_->probability_grads(dec, pred_grads);
   const std::vector<Complex> cot =
       qsim::cotangent_from_probability_grads(psi, dp);
-  // Both adjoint sweeps run the SAME gradient form run_forward executed, so
-  // a fused segment's global phase rides on both |psi> and <lambda| and
-  // cancels in the 2 Re <lambda|dU|psi> contraction.
-  std::shared_ptr<const qsim::GradientPlan> plan;
   const qsim::AdjointResult adj =
-      qsim::adjoint_backward(gradient_form(plan), theta_, std::move(psi), cot);
+      qsim::adjoint_backward(ansatz_, theta_, std::move(psi), cot);
   for (std::size_t i = 0; i < adj.param_grads.size(); ++i)
     grad_out[i] += adj.param_grads[i];
 

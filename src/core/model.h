@@ -17,10 +17,8 @@
 // measurements (ShotBackend) instead of exact probabilities.
 // Training gradients (loss_and_gradient) always use the exact noiseless
 // statevector + adjoint path, mirroring the paper's noiseless training; the
-// backend choice governs how the trained model is *read out*. The adjoint
-// pass executes the circuit's GradientPlan (qsim/gradient_plan.h — literal
-// segments between trainable slots fused, memoized in the model's
-// CompiledCircuitCache).
+// backend choice governs how the trained model is *read out*. Both paths
+// execute the ansatz as built.
 #pragma once
 
 #include <memory>
@@ -35,7 +33,6 @@
 #include "data/dataset.h"
 #include "qsim/backend.h"
 #include "qsim/circuit.h"
-#include "qsim/compile_cache.h"
 
 namespace qugeo::core {
 
@@ -72,15 +69,21 @@ class QuGeoModel {
   /// sanctioned way to run the noise-robustness ablation on a trained model.
   void set_execution_config(const qsim::ExecutionConfig& exec) { exec_ = exec; }
 
-  /// The model-owned compiled-circuit cache: canonicalize_for_backend runs
-  /// once per (circuit structure, backend kind) across every predict /
-  /// predict_with call and QuBatch chunk (compile_count() is the probe the
-  /// tests pin). Injected into each chunk's ExecutionConfig unless the
-  /// caller supplied a cache of its own.
-  [[nodiscard]] const std::shared_ptr<qsim::CompiledCircuitCache>&
-  compile_cache() const noexcept {
-    return compile_cache_;
+  /// Not a cache: every counter reads 0, because no path compiles or
+  /// memoizes a circuit. Exists only for the counters perfbench reads
+  /// (perfbench/train.cpp:376-380, perfbench/serve.cpp:340-349); drop it
+  /// with the next change to the benchmark.
+  struct NoCompileCache {
+    static constexpr std::size_t compile_count() noexcept { return 0; }
+    static constexpr std::size_t hit_count() noexcept { return 0; }
+    static constexpr std::size_t plan_compile_count() noexcept { return 0; }
+    static constexpr std::size_t plan_hit_count() noexcept { return 0; }
+  };
+  [[nodiscard]] static const NoCompileCache* compile_cache() noexcept {
+    static constexpr NoCompileCache kNone{};
+    return &kNone;
   }
+
   [[nodiscard]] const qsim::Circuit& ansatz() const noexcept { return ansatz_; }
   [[nodiscard]] Index batch_size() const noexcept { return layout_.batch_size(); }
 
@@ -117,16 +120,8 @@ class QuGeoModel {
 
  private:
   /// Exact pure-state forward pass (training path; adjoint needs psi).
-  /// Executes the gradient form, so the returned state is the adjoint
-  /// pass's replay input (same global phase).
   [[nodiscard]] qsim::StateVector run_forward(
       std::span<const data::ScaledSample* const> chunk) const;
-
-  /// The circuit the training path executes: the ansatz's cached
-  /// GradientPlan form. `keepalive` owns the plan; it must outlive the use
-  /// of the returned reference.
-  [[nodiscard]] const qsim::Circuit& gradient_form(
-      std::shared_ptr<const qsim::GradientPlan>& keepalive) const;
 
   /// Backend-driven forward pass: encode, execute on a fresh backend from
   /// `exec`, return the Born probabilities (inference path). `stream`
@@ -139,7 +134,6 @@ class QuGeoModel {
 
   ModelConfig config_;
   qsim::ExecutionConfig exec_;
-  std::shared_ptr<qsim::CompiledCircuitCache> compile_cache_;
   QubitLayout layout_;
   qsim::Circuit ansatz_;
   StEncoder encoder_;

@@ -4,8 +4,8 @@
 // after every epoch so the Figure 5(b)/(c) convergence curves can be
 // regenerated.
 //
-// Gradients always come from the exact adjoint statevector pass (through
-// the model's cached GradientPlan — qsim/gradient_plan.h); the per-epoch
+// Gradients always come from the exact adjoint statevector pass over the
+// ansatz as built; the per-epoch
 // evaluation (evaluate_model -> predict) runs through the model's
 // configured qsim::ExecutionConfig backend, so training curves can be
 // recorded under exact-channel or trajectory noise — or from a finite

@@ -7,39 +7,10 @@
 #include "common/env.h"
 #include "common/fault.h"
 #include "common/parallel.h"
-#include "qsim/compile_cache.h"
 #include "qsim/executor.h"
-#include "qsim/optimizer.h"
 #include "qsim/shots.h"
 
 namespace qugeo::qsim {
-namespace {
-
-/// The circuit a noiseless execution path should run: the canonical (fused)
-/// form when fusion would change the stream — served from the shared cache
-/// when one is configured — otherwise the original by reference.
-/// `keepalive`/`local` own whichever compiled object is returned; they must
-/// outlive the use of the returned reference.
-const Circuit& noiseless_form(const Circuit& circuit,
-                              const std::shared_ptr<CompiledCircuitCache>& cache,
-                              BackendKind kind,
-                              std::shared_ptr<const Circuit>& keepalive,
-                              std::optional<Circuit>& local) {
-  if (cache) {
-    keepalive = cache->canonical(circuit, kind);
-    return keepalive ? *keepalive : circuit;
-  }
-  // No cache: pay the O(ops) probes per execution, the canonical copy only
-  // when fusion changes something (the all-trainable ansatz runs by
-  // reference).
-  if (has_fusable_runs(circuit) || has_fusable_two_qubit_runs(circuit)) {
-    local.emplace(canonicalize_for_backend(circuit));
-    return *local;
-  }
-  return circuit;
-}
-
-}  // namespace
 
 std::string_view backend_name(BackendKind kind) noexcept {
   switch (kind) {
@@ -91,11 +62,10 @@ ExecutionConfig apply_env_overrides(ExecutionConfig base) {
 
 // ------------------------------------------------------ StatevectorBackend --
 
-StatevectorBackend::StatevectorBackend(const ExecutionConfig& config)
-    : psi_(0), cache_(config.compile_cache) {
-  // The statevector backend is exact and noiseless; a NoiseModel in the
-  // config is an ablation parameter for the other backends, not an error.
-}
+// The statevector backend is exact and noiseless; a NoiseModel in the
+// config is an ablation parameter for the other backends, not an error.
+StatevectorBackend::StatevectorBackend(const ExecutionConfig& /*config*/)
+    : psi_(0) {}
 
 Index StatevectorBackend::num_qubits() const noexcept {
   return psi_.num_qubits();
@@ -111,10 +81,7 @@ void StatevectorBackend::run(const Circuit& circuit,
                              StateVector initial_state) {
   fault::site("backend.run");
   psi_ = std::move(initial_state);
-  std::shared_ptr<const Circuit> keepalive;
-  std::optional<Circuit> local;
-  run_circuit(noiseless_form(circuit, cache_, kind(), keepalive, local), params,
-              psi_);
+  run_circuit(circuit, params, psi_);
 }
 
 std::vector<Real> StatevectorBackend::probabilities() const {
@@ -131,7 +98,7 @@ std::vector<Real> StatevectorBackend::expect_z(
 // ---------------------------------------------------- DensityMatrixBackend --
 
 DensityMatrixBackend::DensityMatrixBackend(const ExecutionConfig& config)
-    : noise_(config.noise), cache_(config.compile_cache) {}
+    : noise_(config.noise) {}
 
 Index DensityMatrixBackend::num_qubits() const noexcept {
   return rho_ ? rho_->num_qubits() : 0;
@@ -152,19 +119,7 @@ void DensityMatrixBackend::run(const Circuit& circuit,
   if (!rho_ || rho_->num_qubits() != initial_state.num_qubits())
     rho_.emplace(initial_state.num_qubits());
   rho_->set_from_state(initial_state);
-  // Run fusion collapses k literal gates into one, which would also
-  // collapse their k per-gate noise insertion points into one; with a gate
-  // channel active the original op stream must execute verbatim. The
-  // readout channel has a single insertion point (the end of the circuit)
-  // and survives fusion unchanged.
-  if (noise_.has_gate_noise()) {
-    run_circuit_density(circuit, params, *rho_, noise_);
-    return;
-  }
-  std::shared_ptr<const Circuit> keepalive;
-  std::optional<Circuit> local;
-  run_circuit_density(noiseless_form(circuit, cache_, kind(), keepalive, local),
-                      params, *rho_, noise_);
+  run_circuit_density(circuit, params, *rho_, noise_);
 }
 
 std::vector<Real> DensityMatrixBackend::probabilities() const {
@@ -190,8 +145,7 @@ const DensityMatrix& DensityMatrixBackend::density() const {
 TrajectoryBackend::TrajectoryBackend(const ExecutionConfig& config)
     : noise_(config.noise),
       trajectories_(config.trajectories == 0 ? 1 : config.trajectories),
-      seed_(config.seed),
-      cache_(config.compile_cache) {}
+      seed_(config.seed) {}
 
 Index TrajectoryBackend::num_qubits() const noexcept { return num_qubits_; }
 
@@ -209,32 +163,19 @@ void TrajectoryBackend::run(const Circuit& circuit,
   num_qubits_ = initial_state.num_qubits();
   const Index dim = initial_state.dim();
 
-  // Gate-noisy runs execute the ORIGINAL op stream: run fusion would
-  // collapse per-gate noise insertion points (see
-  // DensityMatrixBackend::run). Without gate noise the circuit
-  // canonicalizes once, up front — the readout channel's single insertion
-  // point (the end of the circuit) survives fusion, so readout-only
-  // trajectories sample the fused stream too.
-  std::shared_ptr<const Circuit> keepalive;
-  std::optional<Circuit> local;
-  const Circuit& exec_circuit =
-      noise_.has_gate_noise()
-          ? circuit
-          : noiseless_form(circuit, cache_, kind(), keepalive, local);
-
   // A trivial NoiseModel makes every trajectory identical to the exact
   // run; skip the fan-out entirely (env-driven smoke runs pay one
   // statevector pass).
   if (noise_.is_trivial()) {
     StateVector psi = std::move(initial_state);
-    run_circuit(exec_circuit, params, psi);
+    run_circuit(circuit, params, psi);
     mean_probs_ = psi.probabilities();
     return;
   }
   if (trajectories_ == 1) {
     StateVector psi = std::move(initial_state);
     Rng rng = trajectory_rng(seed_, 0);
-    run_circuit_noisy(exec_circuit, params, psi, noise_, rng);
+    run_circuit_noisy(circuit, params, psi, noise_, rng);
     mean_probs_ = psi.probabilities();
     return;
   }
@@ -251,7 +192,7 @@ void TrajectoryBackend::run(const Circuit& circuit,
     for (std::size_t t = s; t < trajectories_; t += slots) {
       StateVector psi = initial_state;
       Rng rng = trajectory_rng(seed_, t);
-      run_circuit_noisy(exec_circuit, params, psi, noise_, rng);
+      run_circuit_noisy(circuit, params, psi, noise_, rng);
       const auto amps = psi.amplitudes();
       for (Index k = 0; k < dim; ++k) acc[k] += std::norm(amps[k]);
     }

@@ -6,15 +6,8 @@
 // The core layer (QuGeoModel, Experiment, benches) selects a backend purely
 // through ExecutionConfig — no call-site special-casing — so the same
 // pipeline runs noiselessly, with exact NoiseModel channels, with sampled
-// trajectories, or from a finite measurement budget (shots). Noiseless
-// execution paths canonicalize the circuit first (optimizer.h: single-qubit
-// run fusion, diagonal-run merging, two-qubit run fusion into dense 4x4
-// blocks), so every backend benefits from the GateClass kernel dispatch and
-// the fused kernels; with a gate channel active the original op stream
-// executes verbatim, because fusing k gates into one would also fuse their
-// k noise insertion points (optimizer.h documents the legality rules).
-// Canonical forms are memoized across executions when the config carries a
-// CompiledCircuitCache (compile_cache.h).
+// trajectories, or from a finite measurement budget (shots). Every backend
+// executes the circuit it is given, op for op.
 //
 // Capability mask:
 //  * supports_adjoint — the backend exposes a statevector the adjoint
@@ -37,8 +30,6 @@
 #include "qsim/statevector.h"
 
 namespace qugeo::qsim {
-
-class CompiledCircuitCache;
 
 enum class BackendKind : std::uint8_t {
   kStatevector,    ///< exact pure-state simulation (fast-path kernels)
@@ -76,26 +67,18 @@ struct ExecutionConfig {
   /// seeds the data-corpus RNG; execution seeds are salted per chunk by
   /// QuGeoModel, so an env override here would correlate every chunk).
   std::uint64_t seed = 0x51d5eedULL;
-  /// Optional shared memo of canonicalize_for_backend results, keyed by
-  /// circuit structure + backend kind (see compile_cache.h for the exact
-  /// key semantics). Backends consult it in run(); null means every
-  /// execution probes (and, if fusable, re-fuses) its circuit locally.
-  /// QuGeoModel owns one per model and injects it for every predict call.
-  /// qugeo-lint: no-env(a process-shared pointer cannot come from text).
-  std::shared_ptr<CompiledCircuitCache> compile_cache;
   /// Not a knob: every backend executes one state at a time. The constant
   /// exists only for the `"batch"` entry of perfbench's run metadata.
   /// qugeo-lint: no-env(a compile-time constant, not a setting).
   static constexpr std::size_t batch = 1;
-  /// Not a knob: noiseless paths always execute the canonical (run-fused)
-  /// circuit; gate-noisy paths keep the original op stream (see Backend).
-  /// Exists only for perfbench's run metadata, like `batch`.
+  /// Not a knob: no path fuses gates; every backend and the training path
+  /// run the circuit as built. `fusion` and `grad_fusion` exist only for
+  /// the `"fusion"` / `"grad_fusion"` entries of perfbench's run metadata
+  /// (perfbench/main.cpp:134-135), like `batch`.
   /// qugeo-lint: no-env(a compile-time constant, not a setting).
-  static constexpr bool fusion = true;
-  /// Not a knob: training always runs the GradientPlan form
-  /// (gradient_plan.h). Exists only for perfbench's run metadata.
+  static constexpr bool fusion = false;
   /// qugeo-lint: no-env(a compile-time constant, not a setting).
-  static constexpr bool grad_fusion = true;
+  static constexpr bool grad_fusion = false;
   /// Not a knob: kernels dispatch on the process-wide level
   /// (common/cpu_features.h, QUGEO_SIMD). Exists only for perfbench's run
   /// metadata.
@@ -118,18 +101,8 @@ struct ExecutionConfig {
 ///
 /// Backends are cheap to construct and NOT thread-safe; parallel call
 /// sites create one per task (QuGeoModel does so per QuBatch chunk).
-///
-/// \par Canonicalization contract (fusion legality)
-/// run() executes the canonical (run-fused) form of the circuit on its
-/// NOISELESS path — via the shared CompiledCircuitCache when
-/// ExecutionConfig::compile_cache is set, locally otherwise. With a gate
-/// channel active the ORIGINAL op stream executes verbatim: fusing k gates
-/// into one would also fuse their k per-gate noise insertion points (see
-/// optimizer.h for the full legality rules; the readout channel's single
-/// end-of-circuit insertion point survives fusion, so readout-only noise
-/// may still fuse). The canonical form's observable results equal the
-/// original's to 1e-10 — fusion is a pure performance layer, pinned by
-/// test_qsim_fusion2q.
+/// run() executes the caller's circuit op for op; a gate channel inserts
+/// its noise after every op.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -145,9 +118,7 @@ class Backend {
 
   /// \brief Execute the circuit from the given initial state (the
   /// encoder's output), replacing the internal state with the result.
-  /// \param circuit        executed in canonical form when the contract
-  ///                       above allows; the caller's object is never
-  ///                       mutated.
+  /// \param circuit        executed verbatim; never mutated.
   /// \param params         trainable angles resolve against this table.
   /// \param initial_state  consumed; pass a copy if it must survive.
   virtual void run(const Circuit& circuit, std::span<const Real> params,
@@ -192,7 +163,6 @@ class StatevectorBackend final : public Backend {
 
  private:
   StateVector psi_;
-  std::shared_ptr<CompiledCircuitCache> cache_;
 };
 
 class DensityMatrixBackend final : public Backend {
@@ -220,7 +190,6 @@ class DensityMatrixBackend final : public Backend {
  private:
   NoiseModel noise_;
   std::optional<DensityMatrix> rho_;
-  std::shared_ptr<CompiledCircuitCache> cache_;
 };
 
 class TrajectoryBackend final : public Backend {
@@ -246,7 +215,6 @@ class TrajectoryBackend final : public Backend {
   NoiseModel noise_;
   std::size_t trajectories_;
   std::uint64_t seed_;
-  std::shared_ptr<CompiledCircuitCache> cache_;
   Index num_qubits_ = 0;
   std::vector<Real> mean_probs_;
 };

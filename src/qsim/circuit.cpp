@@ -107,44 +107,14 @@ void Circuit::cu3(Index control, Index target, ParamRef p) {
   ops_.back().param_ids = {p.id, p.id + 1, p.id + 2};
 }
 
-void Circuit::fused2q(Index a, Index b, const Mat4& u) {
-  push2(GateKind::kFused2Q, a, b);
-  ops_.back().matrix_id = static_cast<std::uint32_t>(mats_.size());
-  mats_.push_back(u);
-}
-
-void Circuit::fused_ctl2q(Index control, Index target, const Mat4& u) {
-  // Control-mixing entries (sub-index bit 0 = control) must be exactly
-  // zero: the dual kernel never reads them.
-  for (int r = 0; r < 4; ++r)
-    for (int c = 0; c < 4; ++c)
-      if ((r & 1) != (c & 1) && u(r, c) != Complex{0, 0})
-        throw std::invalid_argument(
-            "Circuit::fused_ctl2q: matrix mixes control values");
-  push2(GateKind::kFusedCtl2Q, control, target);
-  ops_.back().matrix_id = static_cast<std::uint32_t>(mats_.size());
-  mats_.push_back(u);
-}
-
-const Mat4& Circuit::matrix(const Op& op) const {
-  if (op.kind != GateKind::kFused2Q && op.kind != GateKind::kFusedCtl2Q)
-    throw std::invalid_argument("Circuit::matrix: op carries no dense matrix");
-  if (op.matrix_id >= mats_.size())
-    throw std::out_of_range("Circuit::matrix: dangling matrix_id");
-  return mats_[op.matrix_id];
-}
-
 std::uint32_t Circuit::append(const Circuit& other) {
   if (other.num_qubits() > num_qubits_)
     throw std::invalid_argument("Circuit::append: operand has more qubits");
   const std::uint32_t offset = num_params_;
-  const auto mat_offset = static_cast<std::uint32_t>(mats_.size());
   num_params_ += other.num_params_;
-  mats_.insert(mats_.end(), other.mats_.begin(), other.mats_.end());
   for (Op op : other.ops_) {
     for (auto& id : op.param_ids)
       if (id != kLiteralParam) id += offset;
-    if (op.matrix_id != kNoMatrix) op.matrix_id += mat_offset;
     ops_.push_back(op);
   }
   return offset;

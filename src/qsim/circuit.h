@@ -17,9 +17,6 @@ namespace qugeo::qsim {
 /// Sentinel marking an op angle as a literal (not trainable).
 inline constexpr std::uint32_t kLiteralParam = 0xffffffffu;
 
-/// Sentinel marking an op as carrying no dense-matrix reference.
-inline constexpr std::uint32_t kNoMatrix = 0xffffffffu;
-
 /// One gate application. For controlled gates qubits[0] is the control.
 struct Op {
   GateKind kind = GateKind::kI;
@@ -27,9 +24,6 @@ struct Op {
   /// Per-angle parameter table indices (kLiteralParam => use literals[i]).
   std::array<std::uint32_t, 3> param_ids{kLiteralParam, kLiteralParam, kLiteralParam};
   std::array<Real, 3> literals{0, 0, 0};
-  /// For kFused2Q: index into the owning Circuit's Mat4 side table
-  /// (Circuit::matrix resolves it). kNoMatrix for every other kind.
-  std::uint32_t matrix_id = kNoMatrix;
 };
 
 /// Reference to a trainable parameter slot in a Circuit's table.
@@ -69,19 +63,6 @@ class Circuit {
   void cz(Index control, Index target) { push2(GateKind::kCZ, control, target); }
   void swap(Index a, Index b) { push2(GateKind::kSWAP, a, b); }
 
-  /// Append a dense two-qubit unitary on (a, b). The 2-bit sub-index of
-  /// `u` uses bit 0 = qubit a, bit 1 = qubit b. Produced by the optimizer's
-  /// two-qubit run fusion; execution-internal (no QASM form, not noisy-path
-  /// legal — see optimizer.h fusion legality rules).
-  void fused2q(Index a, Index b, const Mat4& u);
-
-  /// Append a block-diagonal two-qubit unitary: `u` (same sub-index
-  /// convention, bit 0 = control) must have zero control-mixing entries —
-  /// it applies one 2x2 block to `target` per control value, which the
-  /// statevector executes with the fast dual half-space kernel. Throws if
-  /// `u` is not exactly block-diagonal in the control bit.
-  void fused_ctl2q(Index control, Index target, const Mat4& u);
-
   // ---- rotations with literal angles -------------------------------------
   void rx(Index q, Real angle) { push_rot(GateKind::kRX, q, angle); }
   void ry(Index q, Real angle) { push_rot(GateKind::kRY, q, angle); }
@@ -120,14 +101,6 @@ class Circuit {
   [[nodiscard]] static std::array<Real, 3> resolve_params(
       const Op& op, std::span<const Real> table);
 
-  /// Dense-matrix side table (one entry per kFused2Q op).
-  [[nodiscard]] std::span<const Mat4> matrices() const noexcept { return mats_; }
-
-  /// The 4x4 matrix a kFused2Q / kFusedCtl2Q op references; throws for
-  /// other kinds or a dangling matrix_id (an op detached from its owning
-  /// circuit).
-  [[nodiscard]] const Mat4& matrix(const Op& op) const;
-
  private:
   void push1(GateKind kind, Index q);
   void push2(GateKind kind, Index a, Index b);
@@ -137,7 +110,6 @@ class Circuit {
 
   Index num_qubits_;
   std::vector<Op> ops_;
-  std::vector<Mat4> mats_;
   std::uint32_t num_params_ = 0;
 };
 

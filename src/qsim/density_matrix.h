@@ -48,12 +48,6 @@ class DensityMatrix {
   /// Controlled 1-qubit unitary (control = qubits[0] convention).
   void apply_controlled_1q(const Mat2& u, Index control, Index target);
 
-  /// Dense two-qubit unitary: rho -> U rho U^+ on the pair (q0, q1). The
-  /// 2-bit sub-index of `u` uses bit 0 = q0, bit 1 = q1 (the
-  /// Circuit::fused2q / StateVector::apply_matrix2q convention); backs the
-  /// optimizer's two-qubit run fusion on the exact mixed-state path.
-  void apply_2q(const Mat4& u, Index q0, Index q1);
-
   /// SWAP conjugation.
   void apply_swap(Index a, Index b);
 

@@ -106,30 +106,6 @@ Real re_contract(const Mat2& du, const Mat2& g) {
   return s;
 }
 
-/// Execute a fused op whose Mat4 was resolved by the caller: the dense
-/// kernel for kFused2Q, the dual half-space kernel for kFusedCtl2Q (its
-/// 2x2 blocks over the control bit — sub-index bit 0 — are extracted
-/// here). For the inverse, pass dagger(m): the block structure survives
-/// conjugate transposition.
-void apply_fused(GateKind kind, const Mat4& m, Index q0, Index q1,
-                 StateVector& psi) {
-  if (kind == GateKind::kFusedCtl2Q) {
-    Mat2 u0, u1;
-    for (int tp = 0; tp < 2; ++tp)
-      for (int t = 0; t < 2; ++t) {
-        u0(tp, t) = m(tp * 2, t * 2);
-        u1(tp, t) = m(tp * 2 + 1, t * 2 + 1);
-      }
-    psi.apply_block_diag_2q(u0, u1, q0, q1);
-    return;
-  }
-  psi.apply_matrix2q(m, q0, q1);
-}
-
-bool is_fused_kind(GateKind kind) {
-  return kind == GateKind::kFused2Q || kind == GateKind::kFusedCtl2Q;
-}
-
 }  // namespace
 
 void apply_op(const Op& op, std::span<const Real> params, StateVector& psi) {
@@ -138,13 +114,6 @@ void apply_op(const Op& op, std::span<const Real> params, StateVector& psi) {
     return;
   }
   if (op.kind == GateKind::kI) return;
-  if (is_fused_kind(op.kind))
-    // The matrix lives in the owning Circuit's side table, which this
-    // entry point cannot see. The circuit-level executors handle it; the
-    // per-op noisy sampler never legally receives fused ops (fusion is
-    // restricted to noiseless paths — optimizer.h legality rules).
-    throw std::invalid_argument(
-        "apply_op: fused ops need circuit context (use run_circuit)");
   const auto vals = Circuit::resolve_params(op, params);
   apply_block(op.kind, gate_matrix(op.kind, vals), op.qubits, psi);
 }
@@ -156,9 +125,6 @@ void apply_op_inverse(const Op& op, std::span<const Real> params,
     return;
   }
   if (op.kind == GateKind::kI) return;
-  if (is_fused_kind(op.kind))
-    throw std::invalid_argument(
-        "apply_op_inverse: fused ops need circuit context (use adjoint_backward)");
   const auto vals = Circuit::resolve_params(op, params);
   apply_block(op.kind, dagger(gate_matrix(op.kind, vals)), op.qubits, psi);
 }
@@ -169,12 +135,7 @@ void run_circuit(const Circuit& circuit, std::span<const Real> params,
     throw std::invalid_argument("run_circuit: qubit count mismatch");
   if (params.size() < circuit.num_params())
     throw std::invalid_argument("run_circuit: parameter table too small");
-  for (const Op& op : circuit.ops()) {
-    if (is_fused_kind(op.kind))
-      apply_fused(op.kind, circuit.matrix(op), op.qubits[0], op.qubits[1], psi);
-    else
-      apply_op(op, params, psi);
-  }
+  for (const Op& op : circuit.ops()) apply_op(op, params, psi);
 }
 
 AdjointResult adjoint_backward(const Circuit& circuit,
@@ -195,14 +156,6 @@ AdjointResult adjoint_backward(const Circuit& circuit,
   const auto ops = circuit.ops();
   for (std::size_t i = ops.size(); i-- > 0;) {
     const Op& op = ops[i];
-    if (is_fused_kind(op.kind)) {
-      // Fused blocks carry no trainable parameters (fusion only consumes
-      // literal gates), so they only rewind the two states.
-      const Mat4 ud = dagger(circuit.matrix(op));
-      apply_fused(op.kind, ud, op.qubits[0], op.qubits[1], psi_out);
-      apply_fused(op.kind, ud, op.qubits[0], op.qubits[1], lambda);
-      continue;
-    }
     const bool has_trainable = op.param_ids[0] != kLiteralParam ||
                                op.param_ids[1] != kLiteralParam ||
                                op.param_ids[2] != kLiteralParam;

@@ -47,8 +47,6 @@ int gate_param_count(GateKind kind) noexcept {
     case GateKind::kCX:
     case GateKind::kCZ:
     case GateKind::kSWAP:
-    case GateKind::kFused2Q:
-    case GateKind::kFusedCtl2Q:
       return 0;
   }
   return 0;
@@ -61,8 +59,6 @@ int gate_qubit_count(GateKind kind) noexcept {
     case GateKind::kCRY:
     case GateKind::kCU3:
     case GateKind::kSWAP:
-    case GateKind::kFused2Q:
-    case GateKind::kFusedCtl2Q:
       return 2;
     case GateKind::kI:
     case GateKind::kX:
@@ -105,9 +101,7 @@ GateClass gate_class(GateKind kind) noexcept {
     case GateKind::kU3:
     case GateKind::kCRY:
     case GateKind::kCU3:
-    case GateKind::kSWAP:       // dispatched before class-based selection
-    case GateKind::kFused2Q:    // 4x4 payloads: dedicated kernels
-    case GateKind::kFusedCtl2Q:
+    case GateKind::kSWAP:  // dispatched before class-based selection
       return GateClass::kGeneric;
   }
   return GateClass::kGeneric;
@@ -135,8 +129,6 @@ bool gate_is_controlled_1q(GateKind kind) noexcept {
     case GateKind::kPhase:
     case GateKind::kU3:
     case GateKind::kSWAP:
-    case GateKind::kFused2Q:
-    case GateKind::kFusedCtl2Q:
       return false;
   }
   return false;
@@ -163,8 +155,6 @@ std::string_view gate_name(GateKind kind) noexcept {
     case GateKind::kCRY: return "cry";
     case GateKind::kCU3: return "cu3";
     case GateKind::kSWAP: return "swap";
-    case GateKind::kFused2Q: return "fused2q";
-    case GateKind::kFusedCtl2Q: return "fused_ctl2q";
   }
   return "?";
 }
@@ -220,10 +210,6 @@ Mat2 gate_matrix(GateKind kind, std::span<const Real> params) {
       return u3_matrix(params[0], params[1], params[2]);
     case GateKind::kSWAP:
       throw std::invalid_argument("gate_matrix: SWAP has no 2x2 block form");
-    case GateKind::kFused2Q:
-    case GateKind::kFusedCtl2Q:
-      throw std::invalid_argument(
-          "gate_matrix: fused ops carry a 4x4 matrix (Circuit::matrix)");
   }
   throw std::invalid_argument("gate_matrix: unknown kind");
 }
@@ -287,8 +273,6 @@ GateDerivs gate_matrix_derivs(GateKind kind, std::span<const Real> params) {
     case GateKind::kCX:
     case GateKind::kCZ:
     case GateKind::kSWAP:
-    case GateKind::kFused2Q:
-    case GateKind::kFusedCtl2Q:
       break;
   }
   throw std::invalid_argument("gate_matrix_derivs: kind has no parameters");
@@ -301,24 +285,6 @@ Mat2 dagger(const Mat2& u) noexcept {
   d(1, 0) = std::conj(u(0, 1));
   d(1, 1) = std::conj(u(1, 1));
   return d;
-}
-
-Mat4 dagger(const Mat4& u) noexcept {
-  Mat4 d;
-  for (int r = 0; r < 4; ++r)
-    for (int c = 0; c < 4; ++c) d(r, c) = std::conj(u(c, r));
-  return d;
-}
-
-Mat4 matmul(const Mat4& a, const Mat4& b) noexcept {
-  Mat4 r;
-  for (int i = 0; i < 4; ++i)
-    for (int j = 0; j < 4; ++j) {
-      Complex s{0, 0};
-      for (int k = 0; k < 4; ++k) s += a(i, k) * b(k, j);
-      r(i, j) = s;
-    }
-  return r;
 }
 
 }  // namespace qugeo::qsim

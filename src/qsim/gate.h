@@ -15,16 +15,6 @@ namespace qugeo::qsim {
 /// Supported gate kinds. Single-qubit gates act on qubits[0]; controlled
 /// gates use qubits[0] as control and qubits[1] as target; SWAP is
 /// symmetric in its two operands.
-///
-/// kFused2Q and kFusedCtl2Q are execution-internal kinds produced by the
-/// optimizer's two-qubit run fusion: a 4x4 unitary on
-/// (qubits[0], qubits[1]) whose matrix lives in the owning Circuit's side
-/// table (Op::matrix_id). kFusedCtl2Q is the block-diagonal special case —
-/// the matrix applies one 2x2 block to the target (qubits[1]) per value of
-/// the control (qubits[0]), executed by the fast dual half-space kernel;
-/// kFused2Q is the dense general case. Neither has parameters, a QASM
-/// mnemonic, or a 2x2 block form; both are executed by run_circuit /
-/// run_circuit_density via the Mat4 kernels.
 enum class GateKind : std::uint8_t {
   kI,
   kX,
@@ -45,8 +35,6 @@ enum class GateKind : std::uint8_t {
   kCRY,
   kCU3,
   kSWAP,
-  kFused2Q,
-  kFusedCtl2Q,
 };
 
 /// Structural class of a gate's 2x2 block (for controlled gates, of the
@@ -67,16 +55,6 @@ struct Mat2 {
   std::array<Complex, 4> m{};  // [row*2 + col]
   [[nodiscard]] Complex operator()(int r, int c) const { return m[static_cast<std::size_t>(r * 2 + c)]; }
   Complex& operator()(int r, int c) { return m[static_cast<std::size_t>(r * 2 + c)]; }
-};
-
-/// 4x4 complex matrix in row-major order over a two-qubit sub-basis. The
-/// sub-index convention is fixed by the op that carries the matrix: bit 0
-/// of the 2-bit sub-index is the first operand qubit (qubits[0]), bit 1 is
-/// the second (qubits[1]).
-struct Mat4 {
-  std::array<Complex, 16> m{};  // [row*4 + col]
-  [[nodiscard]] Complex operator()(int r, int c) const { return m[static_cast<std::size_t>(r * 4 + c)]; }
-  Complex& operator()(int r, int c) { return m[static_cast<std::size_t>(r * 4 + c)]; }
 };
 
 /// Number of classical parameters the gate kind consumes (0, 1, or 3).
@@ -111,12 +89,6 @@ struct GateDerivs {
 
 /// Hermitian conjugate.
 [[nodiscard]] Mat2 dagger(const Mat2& u) noexcept;
-
-/// Hermitian conjugate of a two-qubit matrix.
-[[nodiscard]] Mat4 dagger(const Mat4& u) noexcept;
-
-/// Row-major 4x4 product a * b.
-[[nodiscard]] Mat4 matmul(const Mat4& a, const Mat4& b) noexcept;
 
 /// General U3(theta, phi, lambda) rotation (OpenQASM u3 convention).
 [[nodiscard]] Mat2 u3_matrix(Real theta, Real phi, Real lambda) noexcept;

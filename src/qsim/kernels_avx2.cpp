@@ -265,158 +265,6 @@ void apply_controlled_1q_avx2(Complex* amps, Index n, const Mat2& u,
     }
 }
 
-void apply_matrix2q_avx2(Complex* amps, Index n, const Mat4& u, Index q0,
-                         Index q1) {
-  double* a = reinterpret_cast<double*>(amps);
-  const Index m0 = Index{1} << q0;
-  const Index m1 = Index{1} << q1;
-  const Index mlo = q0 < q1 ? m0 : m1;
-  const Index mhi = q0 < q1 ? m1 : m0;
-  if (mlo >= 2) {
-    // Contiguous runs of mlo base indices: two amplitude quadruples per
-    // iteration. The 16 broadcast constant pairs live in a small array the
-    // compiler keeps on the stack — reloads are cheap aligned loads.
-    CVec um[16];
-    for (int k = 0; k < 16; ++k) um[k] = broadcast_c(u.m[static_cast<std::size_t>(k)]);
-    for (Index base = 0; base < n; base += 2 * mhi)
-      for (Index mid = base; mid < base + mhi; mid += 2 * mlo)
-        for (Index i0 = mid; i0 < mid + mlo; i0 += 2) {
-          double* p0 = a + 2 * i0;
-          double* p1 = a + 2 * (i0 | m0);
-          double* p2 = a + 2 * (i0 | m1);
-          double* p3 = a + 2 * ((i0 | m0) | m1);
-          const __m256d a0 = _mm256_loadu_pd(p0);
-          const __m256d a1 = _mm256_loadu_pd(p1);
-          const __m256d a2 = _mm256_loadu_pd(p2);
-          const __m256d a3 = _mm256_loadu_pd(p3);
-          _mm256_storeu_pd(
-              p0, _mm256_add_pd(
-                      _mm256_add_pd(cmul_vec(um[0], a0), cmul_vec(um[1], a1)),
-                      _mm256_add_pd(cmul_vec(um[2], a2), cmul_vec(um[3], a3))));
-          _mm256_storeu_pd(
-              p1, _mm256_add_pd(
-                      _mm256_add_pd(cmul_vec(um[4], a0), cmul_vec(um[5], a1)),
-                      _mm256_add_pd(cmul_vec(um[6], a2), cmul_vec(um[7], a3))));
-          _mm256_storeu_pd(
-              p2,
-              _mm256_add_pd(
-                  _mm256_add_pd(cmul_vec(um[8], a0), cmul_vec(um[9], a1)),
-                  _mm256_add_pd(cmul_vec(um[10], a2), cmul_vec(um[11], a3))));
-          _mm256_storeu_pd(
-              p3,
-              _mm256_add_pd(
-                  _mm256_add_pd(cmul_vec(um[12], a0), cmul_vec(um[13], a1)),
-                  _mm256_add_pd(cmul_vec(um[14], a2), cmul_vec(um[15], a3))));
-        }
-    return;
-  }
-  // mlo == 1: the low operand is qubit 0, so the quadruple decomposes into
-  // two adjacent pairs (lo-qubit 0/1) at distance mhi. Permute the matrix
-  // so sub-index bit 0 is the LOW qubit (the scalar kernel's i1 = i0|m0
-  // convention ties bit 0 to q0), then lane-broadcast each amplitude.
-  Mat4 w;
-  if (q0 < q1) {
-    w = u;
-  } else {
-    const auto perm = [](int k) { return ((k & 1) << 1) | ((k >> 1) & 1); };
-    for (int r = 0; r < 4; ++r)
-      for (int c = 0; c < 4; ++c) w(r, c) = u(perm(r), perm(c));
-  }
-  CVec lo_c[4], hi_c[4];  // column c coefficients of the lo / hi output pair
-  for (int c = 0; c < 4; ++c) {
-    lo_c[c] = pair_c(w(0, c), w(1, c));
-    hi_c[c] = pair_c(w(2, c), w(3, c));
-  }
-  for (Index base = 0; base < n; base += 2 * mhi)
-    for (Index j = base; j < base + mhi; j += 2) {
-      double* plo = a + 2 * j;
-      double* phi = a + 2 * (j + mhi);
-      const __m256d vlo = _mm256_loadu_pd(plo);  // [A B] = lo-qubit 0/1
-      const __m256d vhi = _mm256_loadu_pd(phi);  // [C D]
-      const __m256d vA = dup_lo(vlo), vB = dup_hi(vlo);
-      const __m256d vC = dup_lo(vhi), vD = dup_hi(vhi);
-      _mm256_storeu_pd(
-          plo, _mm256_add_pd(
-                   _mm256_add_pd(cmul_vec(lo_c[0], vA), cmul_vec(lo_c[1], vB)),
-                   _mm256_add_pd(cmul_vec(lo_c[2], vC), cmul_vec(lo_c[3], vD))));
-      _mm256_storeu_pd(
-          phi, _mm256_add_pd(
-                   _mm256_add_pd(cmul_vec(hi_c[0], vA), cmul_vec(hi_c[1], vB)),
-                   _mm256_add_pd(cmul_vec(hi_c[2], vC), cmul_vec(hi_c[3], vD))));
-    }
-}
-
-void apply_block_diag_2q_avx2(Complex* amps, Index n, const Mat2& u0,
-                              const Mat2& u1, Index control, Index target) {
-  double* a = reinterpret_cast<double*>(amps);
-  const Index mc = Index{1} << control;
-  const Index mt = Index{1} << target;
-  // One sweep per control value over that half-space's target pairs —
-  // the same iteration order as the scalar twin, pair_update vectorized.
-  for (int v = 0; v < 2; ++v) {
-    const Mat2& u = v ? u1 : u0;
-    if (u(0, 1) == Complex{0, 0} && u(1, 0) == Complex{0, 0} &&
-        u(0, 0) == Complex{1, 0} && u(1, 1) == Complex{1, 0})
-      continue;  // identity block: half-space untouched
-    const Index voff = v ? mc : 0;
-    if (control > target) {
-      if (mt >= 2) {
-        const CVec u00 = broadcast_c(u(0, 0)), u01 = broadcast_c(u(0, 1));
-        const CVec u10 = broadcast_c(u(1, 0)), u11 = broadcast_c(u(1, 1));
-        for (Index base = 0; base < n; base += 2 * mc) {
-          const Index h0 = base + voff;
-          for (Index mid = h0; mid < h0 + mc; mid += 2 * mt)
-            for (Index i0 = mid; i0 < mid + mt; i0 += 2)
-              pair_update(a + 2 * i0, a + 2 * (i0 + mt), u00, u01, u10, u11);
-        }
-      } else {
-        // target == 0: adjacent pairs throughout the control half-space.
-        const CVec ca = pair_c(u(0, 0), u(1, 0));
-        const CVec cb = pair_c(u(0, 1), u(1, 1));
-        for (Index base = 0; base < n; base += 2 * mc) {
-          const Index h0 = base + voff;
-          for (Index i = h0; i < h0 + mc; i += 2) {
-            double* p = a + 2 * i;
-            const __m256d vv = _mm256_loadu_pd(p);
-            _mm256_storeu_pd(p, _mm256_add_pd(cmul_vec(ca, dup_lo(vv)),
-                                              cmul_vec(cb, dup_hi(vv))));
-          }
-        }
-      }
-    } else {
-      if (mc >= 2) {
-        const CVec u00 = broadcast_c(u(0, 0)), u01 = broadcast_c(u(0, 1));
-        const CVec u10 = broadcast_c(u(1, 0)), u11 = broadcast_c(u(1, 1));
-        for (Index base = 0; base < n; base += 2 * mt)
-          for (Index coff = base + voff; coff < base + mt; coff += 2 * mc)
-            for (Index i0 = coff; i0 < coff + mc; i0 += 2)
-              pair_update(a + 2 * i0, a + 2 * (i0 + mt), u00, u01, u10, u11);
-      } else {
-        // control == 0: this half-space is every other element, stride-2 —
-        // no contiguous runs to vectorize. Scalar formulas in this TU.
-        const Complex w00 = u(0, 0), w01 = u(0, 1);
-        const Complex w10 = u(1, 0), w11 = u(1, 1);
-        for (Index base = 0; base < n; base += 2 * mt)
-          for (Index i0 = base + voff; i0 < base + mt; i0 += 2) {
-            const Index i1 = i0 + mt;
-            const Complex a0 = amps[i0];
-            const Complex a1 = amps[i1];
-            amps[i0] =
-                Complex{w00.real() * a0.real() - w00.imag() * a0.imag() +
-                            (w01.real() * a1.real() - w01.imag() * a1.imag()),
-                        w00.real() * a0.imag() + w00.imag() * a0.real() +
-                            (w01.real() * a1.imag() + w01.imag() * a1.real())};
-            amps[i1] =
-                Complex{w10.real() * a0.real() - w10.imag() * a0.imag() +
-                            (w11.real() * a1.real() - w11.imag() * a1.imag()),
-                        w10.real() * a0.imag() + w10.imag() * a0.real() +
-                            (w11.real() * a1.imag() + w11.imag() * a1.real())};
-          }
-      }
-    }
-  }
-}
-
 Mat2 adjoint_sweep_1q_avx2(Complex* psi, Complex* lambda, Index n,
                            const Mat2& ud, Index q) {
   double* p = reinterpret_cast<double*>(psi);
@@ -476,13 +324,6 @@ namespace {
 
 void apply_1q_avx2(Complex*, Index, const Mat2&, Index) { no_avx2(); }
 void apply_controlled_1q_avx2(Complex*, Index, const Mat2&, Index, Index) {
-  no_avx2();
-}
-void apply_matrix2q_avx2(Complex*, Index, const Mat4&, Index, Index) {
-  no_avx2();
-}
-void apply_block_diag_2q_avx2(Complex*, Index, const Mat2&, const Mat2&, Index,
-                              Index) {
   no_avx2();
 }
 Mat2 adjoint_sweep_1q_avx2(Complex*, Complex*, Index, const Mat2&, Index) {

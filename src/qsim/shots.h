@@ -35,12 +35,8 @@ namespace qugeo::qsim {
 /// `readout_error` before being counted — the sampled realization of the
 /// readout bit-flip channel. Shots fan out across the shared thread pool
 /// in fixed slot strides; counts fold in fixed order, so the result is
-/// bit-identical for any thread count.
-///
-/// Shot sampling is downstream of circuit execution, so it composes
-/// freely with run fusion (optimizer.h): the CDF a fused execution
-/// produces equals the unfused one to 1e-10, and the sampled estimates
-/// are then bitwise-reproducible functions of (cdf, seed, shots).
+/// bit-identical for any thread count. The estimates are
+/// bitwise-reproducible functions of (cdf, seed, shots).
 ///
 /// \param cdf            prefix sums over the 2^num_qubits basis states
 ///                       (last entry = total mass; see

@@ -119,102 +119,6 @@ void StateVector::apply_antidiag_1q(Complex a01, Complex a10, Index q) {
   }
 }
 
-void StateVector::apply_matrix2q(const Mat4& u, Index q0, Index q1) {
-  assert(q0 < num_qubits_ && q1 < num_qubits_ && q0 != q1);
-  if (use_avx2()) {
-    apply_matrix2q_avx2(amps_.data(), amps_.size(), u, q0, q1);
-    return;
-  }
-  const Index m0 = Index{1} << q0;
-  const Index m1 = Index{1} << q1;
-  const Index mlo = q0 < q1 ? m0 : m1;
-  const Index mhi = q0 < q1 ? m1 : m0;
-  const Index n = amps_.size();
-  // Local copy of the matrix: a local array cannot alias amps_, so the
-  // compiler may keep entries cached across the amplitude stores and
-  // schedule the 16 loads freely (hoisting all 16 into named locals
-  // spills half the register file instead).
-  const std::array<Complex, 16> um = u.m;
-  Complex* a = amps_.data();
-  // Three-level block iteration (see apply_1q): the innermost loop walks a
-  // CONTIGUOUS run of `mlo` base indices, so there is no per-iteration bit
-  // insertion and the quadruple gather vectorizes.
-  for (Index base = 0; base < n; base += 2 * mhi) {
-    for (Index mid = base; mid < base + mhi; mid += 2 * mlo) {
-      for (Index i0 = mid; i0 < mid + mlo; ++i0) {
-        const Index i1 = i0 | m0;
-        const Index i2 = i0 | m1;
-        const Index i3 = i1 | m1;
-        const Complex a0 = a[i0];
-        const Complex a1 = a[i1];
-        const Complex a2 = a[i2];
-        const Complex a3 = a[i3];
-        a[i0] = cmul(um[0], a0) + cmul(um[1], a1) + cmul(um[2], a2) +
-                cmul(um[3], a3);
-        a[i1] = cmul(um[4], a0) + cmul(um[5], a1) + cmul(um[6], a2) +
-                cmul(um[7], a3);
-        a[i2] = cmul(um[8], a0) + cmul(um[9], a1) + cmul(um[10], a2) +
-                cmul(um[11], a3);
-        a[i3] = cmul(um[12], a0) + cmul(um[13], a1) + cmul(um[14], a2) +
-                cmul(um[15], a3);
-      }
-    }
-  }
-}
-
-void StateVector::apply_block_diag_2q(const Mat2& u0, const Mat2& u1,
-                                      Index control, Index target) {
-  assert(control < num_qubits_ && target < num_qubits_ && control != target);
-  if (use_avx2()) {
-    apply_block_diag_2q_avx2(amps_.data(), amps_.size(), u0, u1, control,
-                             target);
-    return;
-  }
-  const Index mc = Index{1} << control;
-  const Index mt = Index{1} << target;
-  const Index n = amps_.size();
-  Complex* a = amps_.data();
-  // One sweep per control value, each an apply_1q-shaped pass over the
-  // target pairs of that half-space: contiguous inner runs, four hoisted
-  // matrix entries — the register profile the 1q kernel vectorizes.
-  for (int v = 0; v < 2; ++v) {
-    const Mat2& u = v ? u1 : u0;
-    if (u(0, 1) == Complex{0, 0} && u(1, 0) == Complex{0, 0} &&
-        u(0, 0) == kOne && u(1, 1) == kOne)
-      continue;  // identity block: half-space untouched
-    const Complex w00 = u(0, 0), w01 = u(0, 1), w10 = u(1, 0), w11 = u(1, 1);
-    const Index voff = v ? mc : 0;
-    if (control > target) {
-      // Control halves are contiguous ranges of length mc.
-      for (Index base = 0; base < n; base += 2 * mc) {
-        const Index h0 = base + voff;
-        for (Index mid = h0; mid < h0 + mc; mid += 2 * mt) {
-          for (Index i0 = mid; i0 < mid + mt; ++i0) {
-            const Index i1 = i0 + mt;
-            const Complex a0 = a[i0];
-            const Complex a1 = a[i1];
-            a[i0] = cmul(w00, a0) + cmul(w01, a1);
-            a[i1] = cmul(w10, a0) + cmul(w11, a1);
-          }
-        }
-      }
-    } else {
-      // Control alternates with period mc inside each target-pair block.
-      for (Index base = 0; base < n; base += 2 * mt) {
-        for (Index coff = base + voff; coff < base + mt; coff += 2 * mc) {
-          for (Index i0 = coff; i0 < coff + mc; ++i0) {
-            const Index i1 = i0 + mt;
-            const Complex a0 = a[i0];
-            const Complex a1 = a[i1];
-            a[i0] = cmul(w00, a0) + cmul(w01, a1);
-            a[i1] = cmul(w10, a0) + cmul(w11, a1);
-          }
-        }
-      }
-    }
-  }
-}
-
 void StateVector::apply_controlled_1q(const Mat2& u, Index control, Index target) {
   assert(control < num_qubits_ && target < num_qubits_ && control != target);
   if (use_avx2()) {

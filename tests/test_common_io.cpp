@@ -1,11 +1,12 @@
 // Tensor/CSV serialization round trips and failure modes, plus the
 // CRC-guarded framed container (atomic writes, corruption taxonomy,
-// legacy headerless sniffing).
+// unframed files rejected).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/fault.h"
@@ -55,7 +56,27 @@ TEST_F(IoTest, MissingFileThrows) {
 
 TEST_F(IoTest, CorruptMagicRejected) {
   std::ofstream(dir_ / "junk.qgt") << "not a tensor";
-  EXPECT_THROW((void)load_tensor(dir_ / "junk.qgt"), std::runtime_error);
+  {
+    // A headerless tensor body (magic, u64 rank, u64 dims, float64
+    // payload) with no frame around it, so no CRC guards it.
+    std::ofstream out(dir_ / "headerless.qgt", std::ios::binary);
+    out.write("QGT1", 4);
+    const std::uint64_t rank = 1, dim = 1;
+    const Real value = 4.5;
+    out.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  }
+  for (const char* name : {"junk.qgt", "headerless.qgt"}) {
+    try {
+      (void)load_tensor(dir_ / name);
+      ADD_FAILURE() << name << " loaded";
+    } catch (const FrameError& e) {
+      EXPECT_EQ(e.kind(), FrameError::Kind::kBadMagic) << name;
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(IoTest, CsvWriterProducesHeaderAndRows) {
@@ -194,24 +215,6 @@ TEST_F(IoTest, TensorsAreFramedAndCorruptionIsDetected) {
   } catch (const FrameError& e) {
     EXPECT_EQ(e.kind(), FrameError::Kind::kCrcMismatch);
   }
-}
-
-TEST_F(IoTest, LegacyHeaderlessTensorStillLoads) {
-  // A pre-frame "QGT1" file written byte-for-byte the old way: magic,
-  // u64 rank, u64 dims, float64 payload.
-  const std::vector<Real> data = {4.5, -1.0};
-  {
-    std::ofstream out(dir_ / "legacy.qgt", std::ios::binary);
-    out.write("QGT1", 4);
-    const std::uint64_t rank = 1, dim = 2;
-    out.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
-    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size() * sizeof(Real)));
-  }
-  const LoadedTensor t = load_tensor(dir_ / "legacy.qgt");
-  EXPECT_EQ(t.shape, (std::vector<std::size_t>{2}));
-  EXPECT_EQ(t.data, data);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Training loop: loss decreases on a learnable synthetic task, evaluation
-// metrics behave, QuBatch trains, the per-chunk gradient fold is
-// bit-identical across thread counts, and the GradientPlan cache builds
-// exactly once per run.
+// metrics behave, QuBatch trains, and the per-chunk gradient fold is
+// bit-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
@@ -172,26 +171,6 @@ TEST(TrainerSharding, BitIdenticalAcrossThreadCounts) {
   set_num_threads(before);
   expect_identical_runs(t1, t2);
   expect_identical_runs(t1, t4);
-}
-
-// ------------------------------------------------- gradient-plan cache --
-
-TEST(TrainerGradientPlan, CacheBuildsOncePerRun) {
-  Rng rng(13);
-  data::ScaledDataset ds = synthetic_dataset(12, 8, 3, 2, rng);
-  const data::SplitView split = data::split_dataset(12, 9);
-  TrainConfig tc;
-  tc.epochs = 3;
-  tc.initial_lr = 0.05;
-  Rng init(14);
-  QuGeoModel model(tiny_model(DecoderKind::kLayer), init);
-  (void)train_model(model, ds, split, tc);
-  const auto& cache = *model.compile_cache();
-  // One build, then every later lookup hits: loss_and_gradient fetches the
-  // plan twice per chunk (forward replay + adjoint sweep), the train split
-  // has 9 chunks of batch size 1, and the run does 3 epochs.
-  EXPECT_EQ(cache.plan_compile_count(), 1u);
-  EXPECT_EQ(cache.plan_hit_count(), 2u * 9u * 3u - 1u);
 }
 
 TEST(Evaluate, PerfectPredictionScoresOne) {

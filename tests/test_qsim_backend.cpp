@@ -36,6 +36,24 @@ Circuit random_circuit(Index qubits, int gates, Rng& rng) {
   return c;
 }
 
+/// Literal CX, CZ, SWAP, CRY and CU3 gates with 1q neighbours on their
+/// pairs: literal two-qubit gates, which the paper's all-trainable ansatz
+/// never emits.
+Circuit literal_two_qubit_circuit() {
+  Circuit c(3);
+  c.h(0);
+  c.t(1);
+  c.cx(0, 1);
+  c.ry(1, 0.4);
+  c.cz(1, 2);
+  c.swap(2, 0);
+  c.rx(0, -1.1);
+  c.cry(0, 2, 0.6);
+  c.cx(2, 1);
+  c.cu3(1, 0, 0.5, 0.2, -0.3);
+  return c;
+}
+
 StateVector random_state(Index qubits, Rng& rng) {
   StateVector psi(qubits);
   std::vector<Real> data(psi.dim());
@@ -66,27 +84,27 @@ TEST(Backend, CapabilityMasks) {
 }
 
 TEST(Backend, StatevectorMatchesDirectExecution) {
+  // The backend executes the circuit it is given, so literal circuits
+  // agree with run_circuit bit for bit.
   Rng rng(1);
-  const Circuit c = random_circuit(4, 20, rng);
-  StateVector direct = random_state(4, rng);
-  const StateVector psi_in = direct;
-  run_circuit(c, {}, direct);
+  for (const Circuit& c :
+       {random_circuit(4, 20, rng), literal_two_qubit_circuit()}) {
+    StateVector direct = random_state(c.num_qubits(), rng);
+    const StateVector psi_in = direct;
+    run_circuit(c, {}, direct);
 
-  ExecutionConfig cfg;
-  StatevectorBackend backend(cfg);
-  backend.run(c, {}, psi_in);
-  // The backend canonicalizes (run fusion) before executing, so literal
-  // circuits agree to rounding; all-trainable circuits (the ansatz) are
-  // untouched by fusion and stay bit-identical.
-  const auto probs = backend.probabilities();
-  for (Index k = 0; k < direct.dim(); ++k)
-    ASSERT_NEAR(probs[k], direct.probability(k), 1e-12);
+    ExecutionConfig cfg;
+    StatevectorBackend backend(cfg);
+    backend.run(c, {}, psi_in);
+    const auto probs = backend.probabilities();
+    for (Index k = 0; k < direct.dim(); ++k)
+      ASSERT_EQ(probs[k], direct.probability(k));
+  }
 }
 
 TEST(Backend, StatevectorBitIdenticalOnTrainableCircuits) {
-  // Run fusion only touches literal gates; a fully trainable circuit (the
-  // QuGeoVQC ansatz shape) must execute through the backend bit-for-bit as
-  // through run_circuit.
+  // A fully trainable circuit (the QuGeoVQC ansatz shape) must execute
+  // through the backend bit-for-bit as through run_circuit.
   Circuit c(3);
   for (Index q = 0; q < 3; ++q) c.u3(q, c.new_params(3));
   for (Index q = 0; q < 3; ++q) c.cu3(q, (q + 1) % 3, c.new_params(3));
@@ -107,9 +125,10 @@ TEST(Backend, StatevectorBitIdenticalOnTrainableCircuits) {
 
 TEST(Backend, DensityAtZeroNoiseMatchesStatevector) {
   Rng rng(2);
-  for (int trial = 0; trial < 4; ++trial) {
-    const Circuit c = random_circuit(4, 24, rng);
-    const StateVector psi_in = random_state(4, rng);
+  for (int trial = 0; trial < 5; ++trial) {
+    const Circuit c =
+        trial < 4 ? random_circuit(4, 24, rng) : literal_two_qubit_circuit();
+    const StateVector psi_in = random_state(c.num_qubits(), rng);
 
     ExecutionConfig cfg;
     StatevectorBackend sv(cfg);
@@ -125,7 +144,8 @@ TEST(Backend, DensityAtZeroNoiseMatchesStatevector) {
     for (std::size_t k = 0; k < p_sv.size(); ++k)
       ASSERT_NEAR(p_sv[k], p_dm[k], 1e-10) << "trial " << trial;
 
-    const std::vector<Index> qubits = {0, 1, 2, 3};
+    std::vector<Index> qubits(c.num_qubits());
+    for (Index q = 0; q < c.num_qubits(); ++q) qubits[q] = q;
     const auto z_sv = sv.expect_z(qubits);
     const auto z_dm = dm.expect_z(qubits);
     for (std::size_t i = 0; i < qubits.size(); ++i)
@@ -135,22 +155,24 @@ TEST(Backend, DensityAtZeroNoiseMatchesStatevector) {
 
 TEST(Backend, TrajectoryAtZeroNoiseIsExact) {
   Rng rng(3);
-  const Circuit c = random_circuit(3, 15, rng);
-  const StateVector psi_in = random_state(3, rng);
+  for (const Circuit& c :
+       {random_circuit(3, 15, rng), literal_two_qubit_circuit()}) {
+    const StateVector psi_in = random_state(3, rng);
 
-  ExecutionConfig cfg;
-  StatevectorBackend sv(cfg);
-  sv.run(c, {}, psi_in);
+    ExecutionConfig cfg;
+    StatevectorBackend sv(cfg);
+    sv.run(c, {}, psi_in);
 
-  cfg.backend = BackendKind::kTrajectory;
-  cfg.trajectories = 16;
-  TrajectoryBackend traj(cfg);
-  traj.run(c, {}, psi_in);
+    cfg.backend = BackendKind::kTrajectory;
+    cfg.trajectories = 16;
+    TrajectoryBackend traj(cfg);
+    traj.run(c, {}, psi_in);
 
-  const auto p_sv = sv.probabilities();
-  const auto p_tr = traj.probabilities();
-  for (std::size_t k = 0; k < p_sv.size(); ++k)
-    ASSERT_NEAR(p_sv[k], p_tr[k], 1e-12);
+    const auto p_sv = sv.probabilities();
+    const auto p_tr = traj.probabilities();
+    for (std::size_t k = 0; k < p_sv.size(); ++k)
+      ASSERT_NEAR(p_sv[k], p_tr[k], 1e-12);
+  }
 }
 
 TEST(Backend, TrajectoryConvergesToExactDepolarizingChannel) {
@@ -187,27 +209,28 @@ TEST(Backend, TrajectoryConvergesToExactDepolarizingChannel) {
 }
 
 TEST(Backend, NoisyRunsPreservePerGateInsertionPoints) {
-  // Run fusion must NOT run before noisy execution: a literal run of k
-  // gates carries k depolarizing insertion points, and the backend's
-  // result must match the raw channel executor on the ORIGINAL op stream.
-  Circuit c(1);
-  c.h(0);
-  c.t(0);
-  c.h(0);
-  c.t(0);  // one fusable 4-gate run -> 4 insertion points
+  // A literal run of k gates carries k depolarizing insertion points: the
+  // backend's result must match the raw channel executor on the op stream.
+  Circuit run(1);
+  run.h(0);
+  run.t(0);
+  run.h(0);
+  run.t(0);  // one 4-gate run -> 4 insertion points
   const Real p = 0.1;
 
-  DensityMatrix raw(1);
-  run_circuit_density(c, {}, raw, p);
+  for (const Circuit& c : {run, literal_two_qubit_circuit()}) {
+    DensityMatrix raw(c.num_qubits());
+    run_circuit_density(c, {}, raw, p);
 
-  ExecutionConfig cfg;
-  cfg.backend = BackendKind::kDensityMatrix;
-  cfg.noise.gate_error_prob = p;
-  DensityMatrixBackend dm(cfg);
-  dm.run(c, {});
-  const std::vector<Index> qubits = {0};
-  EXPECT_NEAR(dm.expect_z(qubits)[0], raw.expect_z(0), 1e-12);
-  EXPECT_NEAR(dm.density().purity(), raw.purity(), 1e-12);
+    ExecutionConfig cfg;
+    cfg.backend = BackendKind::kDensityMatrix;
+    cfg.noise.gate_error_prob = p;
+    DensityMatrixBackend dm(cfg);
+    dm.run(c, {});
+    const std::vector<Index> qubits = {0};
+    EXPECT_NEAR(dm.expect_z(qubits)[0], raw.expect_z(0), 1e-12);
+    EXPECT_NEAR(dm.density().purity(), raw.purity(), 1e-12);
+  }
 }
 
 TEST(Backend, TrajectoryRunsAreThreadCountInvariant) {

@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GateDerivs, KindsWithoutParametersThrow) {
   for (const GateKind kind : {GateKind::kH, GateKind::kCX, GateKind::kSWAP,
-                              GateKind::kFused2Q})
+                              GateKind::kCZ})
     EXPECT_THROW((void)gate_matrix_derivs(kind, {}), std::invalid_argument)
         << gate_name(kind);
 }

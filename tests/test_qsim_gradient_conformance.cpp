@@ -1,14 +1,10 @@
-// Differential gradient-conformance suite for the GradientPlan training
-// path (qsim/gradient_plan.h).
+// Differential gradient-conformance suite for the adjoint training path.
 //
 // A seeded random circuit corpus — every trainable GateKind, literal runs
 // interleaved between the trainable slots, both 2q orientations — is
-// differentiated four independent ways and the answers are required to
+// differentiated three independent ways and the answers are required to
 // agree:
-//   * fused adjoint (the GradientPlan form) vs unfused adjoint: bitwise
-//     when the plan is the identity, <= 1e-10 otherwise (the fused
-//     segments' global phase rides on both |psi> and <lambda| and cancels
-//     in the 2 Re <lambda|dU|psi> contraction);
+//   * the adjoint sweep (executor.h: adjoint_backward);
 //   * central finite differences of the loss, to 1e-6;
 //   * the parameter-shift rule, for shift-eligible corpora (RX/RY/RZ/CRY).
 // The single-pass adjoint sweep is also held against a test-local copy of
@@ -16,8 +12,7 @@
 // rewind lambda) on every index-pair layout and every trainable kind, under
 // both SIMD levels, and its AVX2 kernels against a textbook pair loop.
 // CI re-runs this binary under QUGEO_SIMD=scalar, QUGEO_SIMD=avx2 and
-// QUGEO_THREADS=4 legs, and under TSan (the shared plan-cache test below
-// exercises the concurrent build path).
+// QUGEO_THREADS=4 legs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,14 +23,10 @@
 
 #include "common/cpu_features.h"
 #include "common/math_utils.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "qsim/circuit.h"
-#include "qsim/compile_cache.h"
 #include "qsim/executor.h"
-#include "qsim/gradient_plan.h"
 #include "qsim/observables.h"
-#include "qsim/optimizer.h"
 #include "qsim/simd_kernels.h"
 #include "qsim/statevector.h"
 
@@ -54,13 +45,12 @@ StateVector random_state(Index num_qubits, Rng& rng) {
   return psi;
 }
 
-/// A literal run on a guaranteed-fusable pattern plus random filler gates
-/// (1q and 2q, both operand orders), never touching the parameter table.
+/// A literal run: two adjacent 1q literals on one qubit plus random filler
+/// gates (1q and 2q, both operand orders), never touching the parameter
+/// table. The adjoint sweep rewinds these with the forward kernels.
 void add_literal_run(Circuit& c, Rng& rng, std::size_t len) {
   const Index nq = c.num_qubits();
   const auto q1 = [&] { return static_cast<Index>(rng.uniform_int(0, nq - 1)); };
-  // Two adjacent 1q literals on one qubit make the run fusable regardless
-  // of what the random filler below lands on.
   const Index base = q1();
   c.h(base);
   c.t(base);
@@ -123,9 +113,8 @@ Circuit corpus_circuit(Index num_qubits, std::uint64_t seed, std::size_t slots,
   return c;
 }
 
-/// A literal run of strictly DIAGONAL gates (they merge under the
-/// optimizer's diagonal-run fusion and commute with every computational-
-/// basis projector).
+/// A literal run of strictly DIAGONAL gates (they commute with every
+/// computational-basis projector).
 void add_diagonal_run(Circuit& c, Rng& rng, std::size_t len) {
   const Index nq = c.num_qubits();
   for (std::size_t i = 0; i < len; ++i) {
@@ -229,62 +218,19 @@ TEST(GradientConformance, CorpusCoversEveryTrainableGateKind) {
                                        GateKind::kCRY, GateKind::kCU3}));
 }
 
-TEST(GradientConformance, FusedAdjointMatchesUnfusedAdjoint) {
-  for (std::uint64_t seed = 0; seed < kCorpusSeeds; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    std::set<GateKind> kinds;
-    const Index nq = 3 + static_cast<Index>(seed % 2);
-    const Circuit c = corpus_circuit(nq, seed, 7, &kinds);
-    const GradientPlan plan = GradientPlan::build(c);
-    ASSERT_TRUE(plan.fused());  // the corpus always has literal runs
-    EXPECT_LT(plan.stats().plan_ops, plan.stats().source_ops);
-    EXPECT_GT(plan.stats().trainable_ops, 0u);
-
-    Rng rng(seed + 0xc0ffee);
-    const std::vector<Real> params = random_params(c.num_params(), rng);
-    const StateVector psi_in = random_state(nq, rng);
-    const std::vector<Real> g = random_weights(nq, rng);
-
-    const AdjointResult unfused = adjoint_of(c, params, psi_in, g);
-    const AdjointResult fused =
-        adjoint_of(plan.execution_form(c), params, psi_in, g);
-
-    // The fused segments' phase cancels in the input cotangent too:
-    // lambda_in = U_f^dag (g o psi_f) = e^{-i phi} U^dag e^{i phi}(g o psi).
-    expect_adjoint_near(fused, unfused, 1e-10);
-  }
-}
-
-TEST(GradientConformance, PlanIsIdentityForAllTrainableCircuits) {
-  // The QuGeoVQC ansatz shape: every angle trainable, nothing to fuse. The
-  // plan must hand back the ORIGINAL circuit by reference, keeping the
-  // default training path bit-identical to the pre-plan loop.
-  Circuit c(3);
-  for (Index q = 0; q < 3; ++q) c.u3(q, c.new_params(3));
-  c.cu3(0, 1, c.new_params(3));
-  c.cry(1, 2, c.new_param());
-  const GradientPlan plan = GradientPlan::build(c);
-  EXPECT_FALSE(plan.fused());
-  EXPECT_EQ(&plan.execution_form(c), &c);
-  EXPECT_EQ(plan.stats().plan_ops, plan.stats().source_ops);
-  EXPECT_EQ(plan.stats().fused_ops, 0u);
-}
-
 TEST(GradientConformance, AdjointMatchesCentralFiniteDifference) {
   const Real h = 1e-5;
   for (std::uint64_t seed = 0; seed < kCorpusSeeds; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     std::set<GateKind> kinds;
     const Circuit c = corpus_circuit(3, seed, 6, &kinds);
-    const GradientPlan plan = GradientPlan::build(c);
 
     Rng rng(seed + 0xfd);
     std::vector<Real> params = random_params(c.num_params(), rng);
     const StateVector psi_in = random_state(3, rng);
     const std::vector<Real> g = random_weights(3, rng);
 
-    const AdjointResult adj =
-        adjoint_of(plan.execution_form(c), params, psi_in, g);
+    const AdjointResult adj = adjoint_of(c, params, psi_in, g);
     for (std::size_t p = 0; p < c.num_params(); ++p) {
       const Real saved = params[p];
       params[p] = saved + h;
@@ -304,16 +250,13 @@ TEST(GradientConformance, AdjointMatchesParameterShiftOnEligibleGates) {
   for (std::uint64_t seed = 0; seed < kCorpusSeeds; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const Circuit c = shift_corpus_circuit(3, seed, 6);
-    const GradientPlan plan = GradientPlan::build(c);
-    ASSERT_TRUE(plan.fused());
 
     Rng rng(seed + 0x51f7);
     const std::vector<Real> params = random_params(c.num_params(), rng);
     const StateVector psi_in = random_state(3, rng);
     const std::vector<Real> g = random_weights(3, rng);
 
-    const AdjointResult adj =
-        adjoint_of(plan.execution_form(c), params, psi_in, g);
+    const AdjointResult adj = adjoint_of(c, params, psi_in, g);
     const std::vector<Real> shift = parameter_shift_gradient(
         c, params, psi_in,
         [&](const StateVector& psi) { return linear_loss(psi, g); });
@@ -323,36 +266,6 @@ TEST(GradientConformance, AdjointMatchesParameterShiftOnEligibleGates) {
     for (std::size_t p = 0; p < shift.size(); ++p)
       EXPECT_NEAR(adj.param_grads[p], shift[p], 1e-9) << "param " << p;
   }
-}
-
-TEST(GradientConformance, SharedPlanCacheBuildsOnceUnderConcurrency) {
-  // The trainer's chunk fan-out hits CompiledCircuitCache::gradient_plan
-  // from every pool worker at once; the plan must build exactly once and
-  // every caller must see the same object. This test runs under TSan in CI.
-  std::set<GateKind> kinds;
-  const Circuit c = corpus_circuit(4, 3, 7, &kinds);
-  CompiledCircuitCache cache;
-  constexpr std::size_t kCallers = 16;
-  std::vector<std::shared_ptr<const GradientPlan>> plans(kCallers);
-  std::vector<std::vector<Real>> grads(kCallers);
-  Rng rng(99);
-  const std::vector<Real> params = random_params(c.num_params(), rng);
-  const StateVector psi_in = random_state(4, rng);
-  const std::vector<Real> g = random_weights(4, rng);
-  parallel_for(0, kCallers, [&](std::size_t i) {
-    plans[i] = cache.gradient_plan(c);
-    grads[i] =
-        adjoint_of(plans[i]->execution_form(c), params, psi_in, g).param_grads;
-  });
-  EXPECT_EQ(cache.plan_compile_count(), 1u);
-  EXPECT_EQ(cache.plan_hit_count(), kCallers - 1);
-  for (std::size_t i = 1; i < kCallers; ++i) {
-    EXPECT_EQ(plans[i], plans[0]);
-    EXPECT_EQ(grads[i], grads[0]);  // same plan, same kernels: bitwise
-  }
-  // Forward counters stay untouched: plan accounting is separate.
-  EXPECT_EQ(cache.compile_count(), 0u);
-  EXPECT_EQ(cache.hit_count(), 0u);
 }
 
 // ---- single-pass sweep against the five-pass sweep it replaced ----------
@@ -374,7 +287,6 @@ Complex ref_pair_inner(std::span<const Complex> lambda,
 
 /// The adjoint sweep before the single-pass kernel: per op, rewind psi,
 /// then one pair contraction per trainable slot, then rewind lambda.
-/// Unfused circuits only (apply_op_inverse rejects fused kinds).
 AdjointResult five_pass_adjoint(const Circuit& circuit,
                                 std::span<const Real> params, StateVector psi,
                                 std::span<const Complex> cotangent) {
@@ -568,12 +480,6 @@ TEST(GradientConformance, SinglePassSweepMatchesFiniteDifferenceAndShift) {
         for (std::size_t p = 0; p < shift.size(); ++p)
           EXPECT_NEAR(adj.param_grads[p], shift[p], 1e-9) << "param " << p;
       }
-      // The gradient plan re-emits these ops around its fused segments;
-      // the trainable phase and the part-literal U3 must survive it.
-      const GradientPlan plan = GradientPlan::build(c);
-      ASSERT_TRUE(plan.fused());
-      expect_adjoint_near(adjoint_of(plan.execution_form(c), params, psi_in, g),
-                          adj, 1e-10);
     }
   }
 }

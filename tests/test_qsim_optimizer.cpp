@@ -167,138 +167,5 @@ TEST(Optimizer, StatsAccounting) {
   EXPECT_EQ(stats.ops_after, 0u);
 }
 
-// ------------------------------------------------------------- run fusion --
-
-TEST(FuseRuns, CollapsesMixedLiteralRunIntoOneU3) {
-  Circuit c(1);
-  c.h(0);
-  c.rx(0, 0.4);
-  c.t(0);
-  c.ry(0, -1.2);
-  FuseStats stats;
-  const Circuit fused = fuse_gate_runs(c, &stats);
-  EXPECT_EQ(fused.num_ops(), 1u);
-  EXPECT_EQ(fused.ops()[0].kind, GateKind::kU3);
-  EXPECT_EQ(stats.fused_runs, 1u);
-  expect_equivalent(c, fused, {}, 21);
-}
-
-TEST(FuseRuns, MergesDiagonalRunIntoOnePhase) {
-  Circuit c(1);
-  c.rz(0, 0.3);
-  c.t(0);
-  c.s(0);
-  c.phase(0, -0.8);
-  c.z(0);
-  FuseStats stats;
-  const Circuit fused = fuse_gate_runs(c, &stats);
-  ASSERT_EQ(fused.num_ops(), 1u);
-  EXPECT_EQ(fused.ops()[0].kind, GateKind::kPhase);
-  EXPECT_EQ(stats.merged_diagonal_runs, 1u);
-  EXPECT_EQ(stats.fused_runs, 0u);
-  expect_equivalent(c, fused, {}, 22);
-}
-
-TEST(FuseRuns, AntiDiagonalRunBecomesU3) {
-  Circuit c(1);
-  c.x(0);
-  c.z(0);
-  c.x(0);
-  c.x(0);
-  const Circuit fused = fuse_gate_runs(c);
-  EXPECT_EQ(fused.num_ops(), 1u);
-  expect_equivalent(c, fused, {}, 23);
-}
-
-TEST(FuseRuns, SpectatorOpsDoNotBreakTheRun) {
-  // Ops on other qubits commute with the run; the fused gate lands at the
-  // run's first position.
-  Circuit d(3);
-  d.h(0);
-  d.ry(1, 0.4);
-  d.cx(1, 2);
-  d.t(0);
-  d.rx(0, 0.9);
-  FuseStats stats;
-  const Circuit fused = fuse_gate_runs(d, &stats);
-  // h/t/rx on qubit 0 fuse to one u3; ry + cx survive.
-  EXPECT_EQ(fused.num_ops(), 3u);
-  EXPECT_EQ(stats.fused_runs, 1u);
-  expect_equivalent(d, fused, {}, 24);
-}
-
-TEST(FuseRuns, ControlledGateOnQubitEndsRun) {
-  Circuit c(2);
-  c.h(0);
-  c.cx(0, 1);  // touches qubit 0: run of length 1 stays untouched
-  c.h(0);
-  const Circuit fused = fuse_gate_runs(c);
-  EXPECT_EQ(fused.num_ops(), 3u);
-  expect_equivalent(c, fused, {}, 25);
-}
-
-TEST(FuseRuns, TrainableGatesAreNeverFused) {
-  Circuit c(1);
-  const ParamRef p = c.new_param();
-  c.h(0);
-  c.rx(0, p);
-  c.h(0);
-  const Circuit fused = fuse_gate_runs(c);
-  EXPECT_EQ(fused.num_ops(), 3u);
-  EXPECT_EQ(fused.num_params(), 1u);
-  const std::vector<Real> params = {0.7};
-  expect_equivalent(c, fused, params, 26);
-}
-
-TEST(FuseRuns, SingleGatesPassThroughVerbatim) {
-  // No run of length >= 2 anywhere: the op stream must be untouched.
-  Circuit c(2);
-  c.h(0);
-  c.cx(0, 1);
-  c.ry(1, 0.3);
-  c.swap(0, 1);
-  const Circuit fused = fuse_gate_runs(c);
-  ASSERT_EQ(fused.num_ops(), c.num_ops());
-  for (std::size_t i = 0; i < c.num_ops(); ++i) {
-    EXPECT_EQ(fused.ops()[i].kind, c.ops()[i].kind);
-    EXPECT_EQ(fused.ops()[i].qubits[0], c.ops()[i].qubits[0]);
-    EXPECT_EQ(fused.ops()[i].literals[0], c.ops()[i].literals[0]);
-  }
-}
-
-TEST(FuseRuns, RandomCircuitsStayEquivalent) {
-  Rng rng(88);
-  for (int trial = 0; trial < 10; ++trial) {
-    Circuit c(3);
-    for (int g = 0; g < 40; ++g) {
-      const auto q = static_cast<Index>(rng.uniform_int(0, 2));
-      switch (rng.uniform_int(0, 6)) {
-        case 0: c.h(q); break;
-        case 1: c.x(q); break;
-        case 2: c.rx(q, rng.uniform(-3, 3)); break;
-        case 3: c.rz(q, rng.uniform(-3, 3)); break;
-        case 4: c.u3(q, rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)); break;
-        case 5: {
-          const auto t = static_cast<Index>(rng.uniform_int(0, 2));
-          if (q != t) c.cx(q, t);
-          break;
-        }
-        default: c.s(q); break;
-      }
-    }
-    const Circuit fused = fuse_gate_runs(c);
-    EXPECT_LE(fused.num_ops(), c.num_ops());
-    expect_equivalent(c, fused, {}, 200 + static_cast<std::uint64_t>(trial));
-  }
-}
-
-TEST(FuseRuns, CanonicalizeForBackendIsFuseGateRuns) {
-  Circuit c(1);
-  c.h(0);
-  c.h(0);
-  const Circuit canon = canonicalize_for_backend(c);
-  EXPECT_EQ(canon.num_ops(), 1u);  // H·H = I -> diagonal product -> one phase
-}
-
 }  // namespace
 }  // namespace qugeo::qsim

@@ -161,6 +161,13 @@ TEST(Qasm, ParserRejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)from_qasm("OPENQASM 2.0;\nqreg q[-2];\n"),
                std::invalid_argument);
+  // strtod accepts nan, inf and overflowing literals; none is a valid
+  // angle or version (a NaN angle would poison every amplitude).
+  for (const char* text : {"OPENQASM 2.0;\nqreg q[1];\nrx(nan) q[0];\n",
+                           "OPENQASM 2.0;\nqreg q[1];\nu3(inf,0,0) q[0];\n",
+                           "OPENQASM 2.0;\nqreg q[1];\nry(1e999) q[0];\n",
+                           "OPENQASM nan;\nqreg q[1];\n"})
+    EXPECT_THROW((void)from_qasm(text), std::invalid_argument) << text;
 }
 
 }  // namespace

@@ -547,7 +547,7 @@ struct ConfigField {
 /// Fields of `struct ExecutionConfig { ... };` in the given header. A
 /// field's name is the last identifier of its declarator (before any `=`
 /// initializer), which survives qualified types and templates
-/// (`std::shared_ptr<T> compile_cache`). The waiver marker is read from
+/// (`std::shared_ptr<T> name`). The waiver marker is read from
 /// the RAW text of the span between the previous `;` and the field's own
 /// — i.e. its declaration line plus the doc comment block above it —
 /// which works because strip_comments preserves text length, so stripped
