@@ -3,7 +3,7 @@
 // finite number of measurements, possibly behind a readout error. This
 // extension trains the headline Q-M-LY model and sweeps the shot budget of
 // the sampled readout — purely through ExecutionConfig{backend, noise,
-// shots, seed}: the model is flipped onto the ShotBackend with
+// shots, seed}: the model is flipped onto a shot budget with
 // set_execution_config, no call-site special-casing.
 #include "bench_common.h"
 #include "qsim/backend.h"

@@ -1,7 +1,9 @@
-// Microbenchmarks of the pluggable simulation-backend layer: the paper
-// ansatz executed on the statevector, density-matrix, and N-trajectory
-// backends — the cost model behind choosing exact vs. sampled noise for
-// the NISQ ablation. Merges into BENCH_micro.json like every micro suite.
+// Microbenchmarks of the simulation backends: the paper ansatz executed
+// through run_probabilities on the statevector, density-matrix, and
+// N-trajectory engines — the cost model behind choosing exact vs. sampled
+// noise for the NISQ ablation. Each iteration is one full call, as the
+// model's inference path makes it (the density engine allocates its 4^n
+// matrix per call). Merges into BENCH_micro.json like every micro suite.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -39,10 +41,10 @@ struct AnsatzFixture {
 void run_backend_bench(benchmark::State& state, const qsim::ExecutionConfig& cfg,
                        Index qubits, std::size_t blocks) {
   const AnsatzFixture fx(qubits, blocks);
-  const auto backend = qsim::make_backend(cfg, qubits);
   for (auto _ : state) {
-    backend->run(fx.circuit, fx.params);
-    benchmark::DoNotOptimize(backend->probabilities().data());
+    const auto probs = qsim::run_probabilities(cfg, fx.circuit, fx.params,
+                                               qsim::StateVector(qubits));
+    benchmark::DoNotOptimize(probs.data());
   }
   // Throughput in ansatz gate applications per second (trajectory backends
   // replay the circuit once per trajectory).

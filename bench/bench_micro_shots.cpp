@@ -1,7 +1,8 @@
 // Microbenchmarks of the finite-shot sampled readout: the raw CDF sampler
-// (qsim/shots.h) and the full ShotBackend forward pass on the paper
-// ansatz — the cost model behind choosing a hardware-realistic shot
-// budget. Merges into BENCH_micro.json like every micro suite.
+// (qsim/shots.h) and the full shot-sampled forward pass
+// (run_probabilities with a shot budget) on the paper ansatz — the cost
+// model behind choosing a hardware-realistic shot budget. Merges into
+// BENCH_micro.json like every micro suite.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
@@ -48,7 +49,7 @@ void BM_SampledReadoutFromCdf(benchmark::State& state) {
 BENCHMARK(BM_SampledReadoutFromCdf)->Arg(1024)->Arg(16384);
 
 void BM_ShotBackendForward(benchmark::State& state) {
-  // Arg = shot count over the statevector inner on the 8-qubit ansatz.
+  // Arg = shot count over the statevector engine on the 8-qubit ansatz.
   const qsim::Circuit circuit = build_paper_ansatz(8, 4);
   std::vector<Real> params(circuit.num_params());
   Rng rng(11);
@@ -57,10 +58,10 @@ void BM_ShotBackendForward(benchmark::State& state) {
   qsim::ExecutionConfig cfg;
   cfg.shots = static_cast<std::size_t>(state.range(0));
   cfg.noise.readout_error = 0.02;
-  const auto backend = qsim::make_backend(cfg, 8);
   for (auto _ : state) {
-    backend->run(circuit, params);
-    benchmark::DoNotOptimize(backend->probabilities().data());
+    const auto probs =
+        qsim::run_probabilities(cfg, circuit, params, qsim::StateVector(8));
+    benchmark::DoNotOptimize(probs.data());
   }
   // Shots drawn per second (the statevector forward is amortized across them).
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

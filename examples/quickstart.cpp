@@ -68,7 +68,8 @@ int main() {
   }
   // Bonus: the same prediction under a hardware-realistic readout — a
   // 4096-shot measurement budget with 2% readout error, selected purely
-  // through ExecutionConfig (the ShotBackend wraps the statevector).
+  // through ExecutionConfig (the shot readout stage samples the
+  // statevector's output).
   qsim::ExecutionConfig hw = model.execution_config();
   hw.shots = 4096;
   hw.noise.readout_error = 0.02;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "common/logging.h"
@@ -80,11 +81,14 @@ FaultSpec parse_fault_spec(std::string_view spec) {
     count = rest.substr(second + 1);
   }
   const auto parse_count = [&](std::string_view s, const char* what) {
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
     std::size_t v = 0;
     if (s.empty()) fail(what);
     for (const char c : s) {
       if (c < '0' || c > '9') fail(what);
-      v = v * 10 + static_cast<std::size_t>(c - '0');
+      const auto digit = static_cast<std::size_t>(c - '0');
+      if (v > (kMax - digit) / 10) fail("value overflows std::size_t");
+      v = v * 10 + digit;
     }
     return v;
   };

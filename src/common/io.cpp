@@ -183,7 +183,9 @@ FramedPayload read_framed_file(const std::filesystem::path& path) {
   std::memcpy(&out.version, bytes.data() + 4, sizeof(out.version));
   std::memcpy(&payload_bytes, bytes.data() + 8, sizeof(payload_bytes));
   std::memcpy(&stored_crc, bytes.data() + 16, sizeof(stored_crc));
-  if (bytes.size() < kHeaderBytes + payload_bytes)
+  // Compare against the bytes left after the header: a declared length
+  // near 2^64 would wrap `kHeaderBytes + payload_bytes` and pass.
+  if (payload_bytes > bytes.size() - kHeaderBytes)
     throw FrameError(
         FrameError::Kind::kTruncated,
         "io: " + path.string() + " is truncated: header declares " +

@@ -53,8 +53,7 @@ std::vector<Real> QuGeoModel::run_forward_probabilities(
     const qsim::ExecutionConfig& exec, std::uint64_t stream) const {
   std::vector<const std::vector<Real>*> waves(chunk.size());
   for (std::size_t i = 0; i < chunk.size(); ++i) waves[i] = &chunk[i]->waveform;
-  // Backends are stateful and not thread-safe; predict fans chunks across
-  // the pool, so each chunk drives its own instance. The chunk index (not
+  // predict fans chunks across the pool. The chunk index (not
   // the thread) salts the trajectory/shot seed, so results stay
   // deterministic for any pool size while noise realizations differ
   // across chunks. The salt is a full splitmix64 finalizer, NOT the bare
@@ -69,16 +68,14 @@ std::vector<Real> QuGeoModel::run_forward_probabilities(
   chunk_exec.seed = z ^ (z >> 31);
   // Transient execution faults (injected via common/fault, or a future
   // remote/accelerated backend hiccuping) retry with exponential backoff;
-  // each attempt rebuilds the backend and re-encodes from scratch so no
+  // each attempt re-encodes and re-runs from scratch so no
   // partially-evolved state leaks across attempts. Exhaustion surfaces as
   // FatalError naming the stream and attempt count.
   return fault::retry_on_transient(
       "circuit execution (chunk stream " + std::to_string(stream) + ")",
       fault::RetryPolicy{}, [&]() -> std::vector<Real> {
-        const auto backend =
-            qsim::make_backend(chunk_exec, layout_.total_qubits());
-        backend->run(ansatz_, theta_, encoder_.encode(waves));
-        return backend->probabilities();
+        return qsim::run_probabilities(chunk_exec, ansatz_, theta_,
+                                       encoder_.encode(waves));
       });
 }
 

@@ -1,7 +1,8 @@
 // QuGeoModel: encoder + ansatz + decoder, end to end.
 //
-// forward: waveform batch --StEncoder--> |psi_in> --Backend(ansatz)-->
-//          Born probabilities --Decoder--> predicted velocity maps.
+// forward: waveform batch --StEncoder--> |psi_in>
+//          --qsim::run_probabilities(ansatz)--> Born probabilities
+//          --Decoder--> predicted velocity maps.
 // backward: loss cotangent --Decoder.probability_grads--> dL/dp
 //          --observables--> dL/d(conj psi) --adjoint_backward--> dL/dtheta.
 //
@@ -14,7 +15,8 @@
 // bit-identically; the density-matrix and trajectory backends run the same
 // pipeline under exact or sampled NoiseModel channels (the NISQ ablation),
 // and a positive `shots` budget reads every expectation from sampled
-// measurements (ShotBackend) instead of exact probabilities.
+// measurements (the shot readout stage of qsim::run_probabilities) instead
+// of exact probabilities.
 // Training gradients (loss_and_gradient) always use the exact noiseless
 // statevector + adjoint path, mirroring the paper's noiseless training; the
 // backend choice governs how the trained model is *read out*. Both paths
@@ -123,11 +125,12 @@ class QuGeoModel {
   [[nodiscard]] qsim::StateVector run_forward(
       std::span<const data::ScaledSample* const> chunk) const;
 
-  /// Backend-driven forward pass: encode, execute on a fresh backend from
-  /// `exec`, return the Born probabilities (inference path). `stream`
-  /// salts the trajectory/shot seed per QuBatch chunk so different samples
-  /// see independent noise realizations (sampling error then averages out
-  /// across a dataset instead of being perfectly correlated).
+  /// Backend-driven forward pass: encode, execute with
+  /// qsim::run_probabilities under `exec`, return the Born probabilities
+  /// (inference path). `stream` salts the trajectory/shot seed per QuBatch
+  /// chunk so different samples see independent noise realizations
+  /// (sampling error then averages out across a dataset instead of being
+  /// perfectly correlated).
   [[nodiscard]] std::vector<Real> run_forward_probabilities(
       std::span<const data::ScaledSample* const> chunk,
       const qsim::ExecutionConfig& exec, std::uint64_t stream) const;

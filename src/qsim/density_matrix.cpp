@@ -25,11 +25,6 @@ DensityMatrix DensityMatrix::from_state(const StateVector& psi) {
   return rho;
 }
 
-void DensityMatrix::reset() {
-  std::fill(rho_.begin(), rho_.end(), Complex{0, 0});
-  rho_[0] = Complex{1, 0};
-}
-
 void DensityMatrix::set_from_state(const StateVector& psi) {
   if (psi.num_qubits() != num_qubits_)
     throw std::invalid_argument("DensityMatrix::set_from_state: qubit count mismatch");
@@ -208,13 +203,6 @@ Real DensityMatrix::expect_z(Index q) const {
   for (Index k = 0; k < dim_; ++k)
     e += ((k & mask) ? Real(-1) : Real(1)) * rho_[k * dim_ + k].real();
   return e;
-}
-
-void run_circuit_density(const Circuit& circuit, std::span<const Real> params,
-                         DensityMatrix& rho, Real depolarizing_prob) {
-  NoiseModel noise;
-  noise.gate_error_prob = depolarizing_prob;
-  run_circuit_density(circuit, params, rho, noise);
 }
 
 void run_circuit_density(const Circuit& circuit, std::span<const Real> params,

@@ -5,9 +5,9 @@
 // applies the channel exactly — rho -> (1-p) U rho U^+ + (p/3) sum_P P rho P
 // — at O(4^n) memory, comfortably covering the paper's 8-16 qubit regime
 // at the low end. It can run full circuits (gate application + Kraus /
-// depolarizing channel ops), and backs DensityMatrixBackend in backend.h;
-// tests use it to pin down the trajectory sampler, and the noise ablation
-// for exact small-system numbers.
+// depolarizing channel ops), and is the density engine of
+// run_probabilities in backend.h; tests use it to pin down the trajectory
+// sampler, and the noise ablation for exact small-system numbers.
 #pragma once
 
 #include <span>
@@ -35,9 +35,6 @@ class DensityMatrix {
   [[nodiscard]] Complex element(Index r, Index c) const {
     return rho_[r * dim_ + c];
   }
-
-  /// Reset to |0...0><0...0|.
-  void reset();
 
   /// Overwrite with the pure-state projector |psi><psi| (same qubit count).
   void set_from_state(const StateVector& psi);
@@ -79,18 +76,14 @@ class DensityMatrix {
   std::vector<Complex> rho_;  // row-major dim x dim
 };
 
-/// Run a circuit on the density matrix, applying the exact depolarizing
-/// channel with probability `depolarizing_prob` to every touched qubit
-/// after each gate (mirrors run_circuit_noisy's insertion points).
-void run_circuit_density(const Circuit& circuit, std::span<const Real> params,
-                         DensityMatrix& rho, Real depolarizing_prob = 0);
-
-/// Full NoiseModel variant: the named gate channel (depolarizing via the
-/// in-place fast path, damping channels via apply_kraus) after every gate
-/// touch — the same insertion points run_circuit_noisy samples — and the
-/// readout bit-flip channel on every qubit at the end. The post-run
-/// density therefore folds measurement error into the state exactly, which
-/// is equivalent for every diagonal observable (probabilities, <Z>).
+/// Run a circuit on the density matrix under a NoiseModel: the named gate
+/// channel (depolarizing via the in-place fast path, damping channels via
+/// apply_kraus) after every gate touch — the same insertion points
+/// run_circuit_noisy samples — and the readout bit-flip channel on every
+/// qubit at the end. The post-run density therefore folds measurement
+/// error into the state exactly, which is equivalent for every diagonal
+/// observable (probabilities, <Z>). A default NoiseModel runs the circuit
+/// noiselessly.
 void run_circuit_density(const Circuit& circuit, std::span<const Real> params,
                          DensityMatrix& rho, const NoiseModel& noise);
 

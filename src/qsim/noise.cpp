@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/parallel.h"
 #include "qsim/executor.h"
 
 namespace qugeo::qsim {
@@ -36,6 +35,14 @@ Real kraus_weight(const StateVector& psi, const Mat2& k, Index q) {
     }
   }
   return w;
+}
+
+/// Sample the readout bit-flip error on every qubit of `psi` (X with
+/// probability e per qubit). Called at the end of each noisy trajectory.
+void apply_readout_trajectory(StateVector& psi, Real e, Rng& rng) {
+  if (e <= 0) return;
+  for (Index q = 0; q < psi.num_qubits(); ++q)
+    if (rng.bernoulli(e)) psi.apply_antidiag_1q(Complex{1, 0}, Complex{1, 0}, q);
 }
 
 void scale_state(StateVector& psi, Real factor) {
@@ -128,25 +135,6 @@ Rng trajectory_rng(std::uint64_t seed, std::size_t trajectory) {
                         (static_cast<std::uint64_t>(trajectory) + 1));
 }
 
-void apply_channel_trajectory(StateVector& psi, NoiseChannel channel, Real p,
-                              Index q, Rng& rng) {
-  if (p <= 0) return;
-  if (channel == NoiseChannel::kDepolarizing) {
-    // Mixed-unitary channel: the jump weights are state-independent, so the
-    // cheap Pauli-insertion path is an exact equivalent of the Kraus jump.
-    maybe_depolarize(psi, q, p, rng);
-    return;
-  }
-  const std::vector<Mat2> kraus = kraus_ops(channel, p);
-  kraus_jump(psi, kraus, q, rng);
-}
-
-void apply_readout_trajectory(StateVector& psi, Real e, Rng& rng) {
-  if (e <= 0) return;
-  for (Index q = 0; q < psi.num_qubits(); ++q)
-    if (rng.bernoulli(e)) psi.apply_antidiag_1q(Complex{1, 0}, Complex{1, 0}, q);
-}
-
 void run_circuit_noisy(const Circuit& circuit, std::span<const Real> params,
                        StateVector& psi, const NoiseModel& noise, Rng& rng) {
   if (noise.has_gate_noise()) {
@@ -172,30 +160,6 @@ void run_circuit_noisy(const Circuit& circuit, std::span<const Real> params,
     run_circuit(circuit, params, psi);
   }
   apply_readout_trajectory(psi, noise.readout_error, rng);
-}
-
-std::vector<Real> noisy_expect_z(const Circuit& circuit,
-                                 std::span<const Real> params,
-                                 const StateVector& psi_in,
-                                 std::span<const Index> qubits,
-                                 const NoiseModel& noise, std::uint64_t seed,
-                                 std::size_t trajectories) {
-  // One result slot per trajectory, folded in index order afterwards: the
-  // average does not depend on the thread count or pool schedule.
-  std::vector<std::vector<Real>> per_traj(trajectories);
-  parallel_for(0, trajectories, [&](std::size_t t) {
-    StateVector psi = psi_in;
-    Rng rng = trajectory_rng(seed, t);
-    run_circuit_noisy(circuit, params, psi, noise, rng);
-    per_traj[t].resize(qubits.size());
-    for (std::size_t i = 0; i < qubits.size(); ++i)
-      per_traj[t][i] = psi.expect_z(qubits[i]);
-  });
-  std::vector<Real> acc(qubits.size(), Real(0));
-  for (std::size_t t = 0; t < trajectories; ++t)
-    for (std::size_t i = 0; i < qubits.size(); ++i) acc[i] += per_traj[t][i];
-  for (Real& a : acc) a /= static_cast<Real>(trajectories);
-  return acc;
 }
 
 }  // namespace qugeo::qsim

@@ -83,29 +83,13 @@ struct NoiseModel {
 /// thread runs it or how many trajectories run beside it.
 [[nodiscard]] Rng trajectory_rng(std::uint64_t seed, std::size_t trajectory);
 
-/// Sample one application of the named channel on qubit `q` of `psi`:
-/// mixed-unitary channels insert a random Pauli, general channels take a
-/// Kraus jump K_k with probability ||K_k psi||^2 and renormalize.
-void apply_channel_trajectory(StateVector& psi, NoiseChannel channel, Real p,
-                              Index q, Rng& rng);
-
-/// Sample the readout bit-flip error on every qubit of `psi` (X with
-/// probability e per qubit). Called at the end of each noisy trajectory.
-void apply_readout_trajectory(StateVector& psi, Real e, Rng& rng);
-
-/// Run one noisy trajectory of the circuit on `psi` (in place): the gate
-/// channel after every gate touch, the readout error once at the end.
+/// Run one noisy trajectory of the circuit on `psi` (in place): after
+/// every gate touch, the gate channel (mixed-unitary channels insert a
+/// random Pauli, general channels take a Kraus jump K_k with probability
+/// ||K_k psi||^2 and renormalize); once at the end, the readout bit-flip
+/// (X with probability e per qubit). The trajectory backend of
+/// run_probabilities (backend.h) averages these runs.
 void run_circuit_noisy(const Circuit& circuit, std::span<const Real> params,
                        StateVector& psi, const NoiseModel& noise, Rng& rng);
-
-/// Average <Z_q> for each listed qubit over `trajectories` noisy runs that
-/// all start from `psi_in`. Trajectories fan out across the shared thread
-/// pool; each draws its own (seed, index) sub-stream and the per-trajectory
-/// results are folded in fixed index order, so the answer is bit-identical
-/// for any QUGEO_THREADS value.
-[[nodiscard]] std::vector<Real> noisy_expect_z(
-    const Circuit& circuit, std::span<const Real> params,
-    const StateVector& psi_in, std::span<const Index> qubits,
-    const NoiseModel& noise, std::uint64_t seed, std::size_t trajectories);
 
 }  // namespace qugeo::qsim

@@ -220,6 +220,9 @@ Circuit from_qasm(std::string_view text) {
       // knows natively; skip the body.
       cur.skip_past('}');
     } else if (word == "qreg") {
+      // One register: gates already parsed were range-checked against it.
+      if (!reg_name.empty())
+        cur.fail("second qreg declaration; one register is supported");
       reg_name = std::string(cur.ident());
       cur.expect('[');
       reg_size = cur.cardinal();
@@ -251,6 +254,8 @@ Circuit from_qasm(std::string_view text) {
       for (int i = 0; i < gate_qubit_count(op.kind); ++i)
         if (op.qubits[static_cast<std::size_t>(i)] >= reg_size)
           cur.fail("qubit operand out of range");
+      if (gate_qubit_count(op.kind) == 2 && op.qubits[0] == op.qubits[1])
+        cur.fail("identical qubit operands");
       ops.push_back(op);
     }
   }

@@ -23,8 +23,9 @@ namespace qugeo::qsim {
 
 /// Parse the dialect to_qasm emits (qelib1 gate set + the preamble-defined
 /// `p` and `cry`) back into a Circuit. All angles become literal constants;
-/// `id` ops vanish (they have no builder and no effect). Throws
-/// std::invalid_argument on malformed input or unsupported statements.
+/// `id` ops vanish (Circuit has no method for them and they have no
+/// effect). Exactly one `qreg` is supported. Throws std::invalid_argument
+/// naming the line on malformed input or unsupported statements.
 [[nodiscard]] Circuit from_qasm(std::string_view text);
 
 }  // namespace qugeo::qsim

@@ -6,7 +6,8 @@
 // Every shot draws from its own RNG sub-stream derived from (seed, shot
 // index) and the per-slot counts are folded in fixed order, so estimates
 // are bit-identical for any QUGEO_THREADS value — the same contract the
-// trajectory sampler honors. ShotBackend (backend.h) delegates here.
+// trajectory sampler honors. The readout stage of run_probabilities
+// (backend.h) delegates here.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +40,7 @@ namespace qugeo::qsim {
 /// bitwise-reproducible functions of (cdf, seed, shots).
 ///
 /// \param cdf            prefix sums over the 2^num_qubits basis states
-///                       (last entry = total mass; see
-///                       StateVector::cumulative_probabilities).
+///                       (last entry = total mass).
 /// \param num_qubits     register width (cdf.size() == 2^num_qubits).
 /// \param seed           base seed for the per-shot sub-streams.
 /// \param shots          sample budget; must be positive.

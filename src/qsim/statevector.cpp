@@ -240,36 +240,6 @@ Real StateVector::expect_z(Index q) const {
   return e;
 }
 
-std::vector<Real> StateVector::cumulative_probabilities() const {
-  std::vector<Real> cdf(amps_.size());
-  Real acc = 0;
-  for (Index k = 0; k < amps_.size(); ++k) {
-    acc += std::norm(amps_[k]);
-    cdf[k] = acc;
-  }
-  return cdf;
-}
-
-std::vector<Index> StateVector::sample(Rng& rng, std::size_t shots) const {
-  return sample_from_cdf(cumulative_probabilities(), rng, shots);
-}
-
-std::vector<Index> StateVector::sample_from_cdf(std::span<const Real> cdf,
-                                                Rng& rng, std::size_t shots) {
-  // Inverse-CDF sampling; the O(2^n) prefix sums are built once by the
-  // caller, so repeated shot-readout calls cost O(shots log dim) each.
-  if (cdf.empty())
-    throw std::invalid_argument("sample_from_cdf: empty distribution");
-  const Real total = cdf.back();
-  std::vector<Index> out(shots);
-  for (std::size_t s = 0; s < shots; ++s) {
-    const Real r = rng.uniform() * total;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
-    out[s] = static_cast<Index>(std::distance(cdf.begin(), it));
-  }
-  return out;
-}
-
 Real StateVector::fidelity(const StateVector& other) const {
   if (other.dim() != dim())
     throw std::invalid_argument("fidelity: dimension mismatch");

@@ -79,20 +79,6 @@ class StateVector {
   /// <Z_q> expectation.
   [[nodiscard]] Real expect_z(Index q) const;
 
-  /// Cumulative Born distribution: cdf[k] = sum_{j<=k} |amps[j]|^2. The
-  /// last entry is the squared norm. Building it is O(2^n); callers that
-  /// sample the same state repeatedly should build it once and use
-  /// sample_from_cdf.
-  [[nodiscard]] std::vector<Real> cumulative_probabilities() const;
-
-  /// Draw `shots` basis-state samples from the Born distribution.
-  [[nodiscard]] std::vector<Index> sample(Rng& rng, std::size_t shots) const;
-
-  /// Draw `shots` samples against a precomputed CDF (see
-  /// cumulative_probabilities) without rebuilding the O(2^n) prefix sums.
-  [[nodiscard]] static std::vector<Index> sample_from_cdf(
-      std::span<const Real> cdf, Rng& rng, std::size_t shots);
-
   /// Fidelity |<this|other>|^2 (states must have equal dimension).
   [[nodiscard]] Real fidelity(const StateVector& other) const;
 

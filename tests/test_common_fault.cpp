@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,14 @@ TEST(FaultSpecParse, MalformedSpecsRejected) {
   EXPECT_THROW((void)parse_fault_spec("site:abc"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_spec("site:0"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_spec("site:1:x"), std::invalid_argument);
+  // Counts beyond std::size_t must not wrap modulo 2^64, which would arm
+  // hit 1, fire forever and arm an arbitrary hit respectively.
+  for (const char* spec : {"backend.run:18446744073709551617",
+                           "backend.run:1:18446744073709551616",
+                           "backend.run:99999999999999999999999"})
+    EXPECT_THROW((void)parse_fault_spec(spec), std::invalid_argument) << spec;
+  EXPECT_EQ(parse_fault_spec("backend.run:18446744073709551615").nth,
+            std::numeric_limits<std::size_t>::max());
 }
 
 TEST(FaultScopeTest, UnarmedSiteIsFree) {

@@ -155,6 +155,26 @@ TEST_F(IoTest, FramedFailureKindsAreDistinct) {
     EXPECT_EQ(e.kind(), FrameError::Kind::kTruncated);
   }
 
+  // A declared payload length near 2^64 must not wrap the header-plus-
+  // payload bound: 2^64 - 1 and 2^64 - 19 would both pass a wrapped sum.
+  for (const std::uint64_t declared :
+       {~std::uint64_t{0}, ~std::uint64_t{0} - 18}) {
+    write_framed_file(dir_ / "wrap.bin", 1, std::vector<unsigned char>(12, 0));
+    {
+      std::fstream f(dir_ / "wrap.bin",
+                     std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(8);  // the payload-length field
+      f.write(reinterpret_cast<const char*>(&declared), sizeof(declared));
+    }
+    ASSERT_EQ(std::filesystem::file_size(dir_ / "wrap.bin"), 32u);
+    try {
+      (void)read_framed_file(dir_ / "wrap.bin");
+      FAIL() << "declared length " << declared;
+    } catch (const FrameError& e) {
+      EXPECT_EQ(e.kind(), FrameError::Kind::kTruncated) << e.what();
+    }
+  }
+
   write_framed_file(dir_ / "flip.bin", 1, payload);
   {
     std::fstream f(dir_ / "flip.bin",

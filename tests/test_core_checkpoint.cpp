@@ -1,8 +1,7 @@
 // Fault-tolerant training: kill-and-resume bit-identity, torn/corrupt
 // checkpoint degradation, rotation fallback, and retry of injected faults
 // at every registered site on the training path ("trainer.epoch",
-// "io.atomic_write", "io.rename", "checkpoint.read", "backend.run",
-// "backend.prepare").
+// "io.atomic_write", "io.rename", "checkpoint.read", "backend.run").
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -19,7 +19,6 @@
 #include "common/parallel.h"
 #include "core/serialization.h"
 #include "core/trainer.h"
-#include "qsim/backend.h"
 
 namespace qugeo::core {
 namespace {
@@ -79,6 +78,17 @@ void corrupt_payload_byte(const std::filesystem::path& path) {
   byte = static_cast<char>(byte ^ 0x5a);
   f.seekp(static_cast<std::streamoff>(size - 9));
   f.write(&byte, 1);
+}
+
+/// Overwrite the QGF1 payload-length field (file offset 8) with 2^64 - 1,
+/// a length that wraps a header-plus-payload bound; the loader must still
+/// report the slot as truncated.
+void wrap_frame_length(const std::filesystem::path& path) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  const std::uint64_t huge = ~std::uint64_t{0};
+  f.seekp(8);
+  f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
 }
 
 class CheckpointTest : public ::testing::Test {
@@ -298,19 +308,26 @@ TEST_F(CheckpointTest, ResumeFallsBackPastCorruptNewestSlot) {
   TrainCheckpoint ck = sample_checkpoint();
   ck.epochs_completed = 3;
   ck.curve.push_back({0.7, 0.7, 0.15});
-  save_train_checkpoint(checkpoint_slot_path(dir_ / "run", 0), sample_checkpoint());
-  save_train_checkpoint(checkpoint_slot_path(dir_ / "run", 1), ck);
-  corrupt_payload_byte(checkpoint_slot_path(dir_ / "run", 1));
+  const std::pair<void (*)(const std::filesystem::path&), const char*>
+      corruptions[] = {{corrupt_payload_byte, "crc-mismatch"},
+                       {wrap_frame_length, "truncated"}};
+  for (const auto& [corrupt, fault_name] : corruptions) {
+    save_train_checkpoint(checkpoint_slot_path(dir_ / "run", 0),
+                          sample_checkpoint());
+    save_train_checkpoint(checkpoint_slot_path(dir_ / "run", 1), ck);
+    corrupt(checkpoint_slot_path(dir_ / "run", 1));
 
-  fault::clear_degradation_events();
-  const auto best =
-      find_resume_checkpoint(dir_ / "run", 3, ck.model_fp, ck.train_fp);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->epochs_completed, 2u);  // the older-but-valid slot
-  const auto events = fault::degradation_events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_NE(events[0].detail.find("crc-mismatch"), std::string::npos);
-  EXPECT_NE(events[0].detail.find("run.1"), std::string::npos);
+    fault::clear_degradation_events();
+    const auto best =
+        find_resume_checkpoint(dir_ / "run", 3, ck.model_fp, ck.train_fp);
+    ASSERT_TRUE(best.has_value()) << fault_name;
+    EXPECT_EQ(best->epochs_completed, 2u);  // the older-but-valid slot
+    const auto events = fault::degradation_events();
+    ASSERT_EQ(events.size(), 1u) << fault_name;
+    EXPECT_NE(events[0].detail.find(fault_name), std::string::npos)
+        << events[0].detail;
+    EXPECT_NE(events[0].detail.find("run.1"), std::string::npos);
+  }
 }
 
 TEST_F(CheckpointTest, InjectedReadFaultDegradesToNextSlot) {
@@ -506,15 +523,6 @@ TEST_F(CheckpointTest, PredictRetriesInjectedBackendRunFault) {
   // A fatal injection must propagate instead of being absorbed.
   fault::FaultScope fatal("backend.run", 1, 1, fault::FaultKind::kFatal);
   EXPECT_THROW((void)model.predict(samples), FatalError);
-}
-
-TEST_F(CheckpointTest, BackendPrepareFaultInjectable) {
-  qsim::ExecutionConfig cfg;
-  const auto backend = qsim::make_backend(cfg, 3);
-  fault::FaultScope scope("backend.prepare", 1);
-  EXPECT_THROW(backend->prepare(3), TransientError);
-  backend->prepare(3);  // past the window: works again
-  EXPECT_EQ(backend->num_qubits(), 3u);
 }
 
 // ----------------------------------------------------- env overrides --

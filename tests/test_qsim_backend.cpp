@@ -1,15 +1,18 @@
-// Pluggable backend layer: capability masks, cross-backend equivalence at
-// p = 0, trajectory convergence to the exact channel, deterministic
-// trajectory streams, and factory/env plumbing.
+// Simulation backends through run_probabilities: cross-backend equivalence
+// at p = 0, trajectory convergence to the exact channel, deterministic
+// trajectory streams, the oversize density substitution, and env plumbing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
+#include "common/fault.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "qsim/backend.h"
+#include "qsim/density_matrix.h"
 #include "qsim/encoding.h"
 #include "qsim/executor.h"
+#include "qsim/shots.h"
 
 namespace qugeo::qsim {
 namespace {
@@ -73,16 +76,6 @@ TEST(Backend, NamesAndParsingRoundTrip) {
   EXPECT_FALSE(parse_backend_kind("qpu").has_value());
 }
 
-TEST(Backend, CapabilityMasks) {
-  const ExecutionConfig cfg;
-  EXPECT_TRUE(StatevectorBackend(cfg).caps().supports_adjoint);
-  EXPECT_FALSE(StatevectorBackend(cfg).caps().exact_noise);
-  EXPECT_FALSE(DensityMatrixBackend(cfg).caps().supports_adjoint);
-  EXPECT_TRUE(DensityMatrixBackend(cfg).caps().exact_noise);
-  EXPECT_FALSE(TrajectoryBackend(cfg).caps().supports_adjoint);
-  EXPECT_FALSE(TrajectoryBackend(cfg).caps().exact_noise);
-}
-
 TEST(Backend, StatevectorMatchesDirectExecution) {
   // The backend executes the circuit it is given, so literal circuits
   // agree with run_circuit bit for bit.
@@ -93,10 +86,7 @@ TEST(Backend, StatevectorMatchesDirectExecution) {
     const StateVector psi_in = direct;
     run_circuit(c, {}, direct);
 
-    ExecutionConfig cfg;
-    StatevectorBackend backend(cfg);
-    backend.run(c, {}, psi_in);
-    const auto probs = backend.probabilities();
+    const auto probs = run_probabilities(ExecutionConfig{}, c, {}, psi_in);
     for (Index k = 0; k < direct.dim(); ++k)
       ASSERT_EQ(probs[k], direct.probability(k));
   }
@@ -116,9 +106,7 @@ TEST(Backend, StatevectorBitIdenticalOnTrainableCircuits) {
   const StateVector psi_in = direct;
   run_circuit(c, params, direct);
 
-  StatevectorBackend backend((ExecutionConfig()));
-  backend.run(c, params, psi_in);
-  const auto probs = backend.probabilities();
+  const auto probs = run_probabilities(ExecutionConfig{}, c, params, psi_in);
   for (Index k = 0; k < direct.dim(); ++k)
     ASSERT_EQ(probs[k], direct.probability(k));
 }
@@ -131,23 +119,18 @@ TEST(Backend, DensityAtZeroNoiseMatchesStatevector) {
     const StateVector psi_in = random_state(c.num_qubits(), rng);
 
     ExecutionConfig cfg;
-    StatevectorBackend sv(cfg);
-    sv.run(c, {}, psi_in);
-
+    const auto p_sv = run_probabilities(cfg, c, {}, psi_in);
     cfg.backend = BackendKind::kDensityMatrix;
-    DensityMatrixBackend dm(cfg);
-    dm.run(c, {}, psi_in);
+    const auto p_dm = run_probabilities(cfg, c, {}, psi_in);
 
-    const auto p_sv = sv.probabilities();
-    const auto p_dm = dm.probabilities();
     ASSERT_EQ(p_sv.size(), p_dm.size());
     for (std::size_t k = 0; k < p_sv.size(); ++k)
       ASSERT_NEAR(p_sv[k], p_dm[k], 1e-10) << "trial " << trial;
 
     std::vector<Index> qubits(c.num_qubits());
     for (Index q = 0; q < c.num_qubits(); ++q) qubits[q] = q;
-    const auto z_sv = sv.expect_z(qubits);
-    const auto z_dm = dm.expect_z(qubits);
+    const auto z_sv = expect_z_from_probabilities(p_sv, qubits);
+    const auto z_dm = expect_z_from_probabilities(p_dm, qubits);
     for (std::size_t i = 0; i < qubits.size(); ++i)
       ASSERT_NEAR(z_sv[i], z_dm[i], 1e-10);
   }
@@ -160,16 +143,10 @@ TEST(Backend, TrajectoryAtZeroNoiseIsExact) {
     const StateVector psi_in = random_state(3, rng);
 
     ExecutionConfig cfg;
-    StatevectorBackend sv(cfg);
-    sv.run(c, {}, psi_in);
-
+    const auto p_sv = run_probabilities(cfg, c, {}, psi_in);
     cfg.backend = BackendKind::kTrajectory;
     cfg.trajectories = 16;
-    TrajectoryBackend traj(cfg);
-    traj.run(c, {}, psi_in);
-
-    const auto p_sv = sv.probabilities();
-    const auto p_tr = traj.probabilities();
+    const auto p_tr = run_probabilities(cfg, c, {}, psi_in);
     for (std::size_t k = 0; k < p_sv.size(); ++k)
       ASSERT_NEAR(p_sv[k], p_tr[k], 1e-12);
   }
@@ -188,22 +165,18 @@ TEST(Backend, TrajectoryConvergesToExactDepolarizingChannel) {
   ExecutionConfig cfg;
   cfg.noise.gate_error_prob = 0.05;
   cfg.backend = BackendKind::kDensityMatrix;
-  DensityMatrixBackend dm(cfg);
-  dm.run(c, {});
+  const auto p_dm = run_probabilities(cfg, c, {}, StateVector(2));
 
   cfg.backend = BackendKind::kTrajectory;
   cfg.trajectories = 4000;
   cfg.seed = 99;
-  TrajectoryBackend traj(cfg);
-  traj.run(c, {});
+  const auto p_tr = run_probabilities(cfg, c, {}, StateVector(2));
 
   const std::vector<Index> qubits = {0, 1};
-  const auto z_dm = dm.expect_z(qubits);
-  const auto z_tr = traj.expect_z(qubits);
+  const auto z_dm = expect_z_from_probabilities(p_dm, qubits);
+  const auto z_tr = expect_z_from_probabilities(p_tr, qubits);
   for (std::size_t i = 0; i < qubits.size(); ++i)
     EXPECT_NEAR(z_tr[i], z_dm[i], 0.05);
-  const auto p_dm = dm.probabilities();
-  const auto p_tr = traj.probabilities();
   for (std::size_t k = 0; k < p_dm.size(); ++k)
     EXPECT_NEAR(p_tr[k], p_dm[k], 0.05);
 }
@@ -220,16 +193,17 @@ TEST(Backend, NoisyRunsPreservePerGateInsertionPoints) {
 
   for (const Circuit& c : {run, literal_two_qubit_circuit()}) {
     DensityMatrix raw(c.num_qubits());
-    run_circuit_density(c, {}, raw, p);
+    run_circuit_density(c, {}, raw, NoiseModel{p});
+    const auto p_raw = raw.probabilities();
 
     ExecutionConfig cfg;
     cfg.backend = BackendKind::kDensityMatrix;
     cfg.noise.gate_error_prob = p;
-    DensityMatrixBackend dm(cfg);
-    dm.run(c, {});
-    const std::vector<Index> qubits = {0};
-    EXPECT_NEAR(dm.expect_z(qubits)[0], raw.expect_z(0), 1e-12);
-    EXPECT_NEAR(dm.density().purity(), raw.purity(), 1e-12);
+    const auto p_dm =
+        run_probabilities(cfg, c, {}, StateVector(c.num_qubits()));
+    ASSERT_EQ(p_dm.size(), p_raw.size());
+    for (std::size_t k = 0; k < p_raw.size(); ++k)
+      EXPECT_EQ(p_dm[k], p_raw[k]) << "state " << k;
   }
 }
 
@@ -245,57 +219,39 @@ TEST(Backend, TrajectoryRunsAreThreadCountInvariant) {
   cfg.seed = 17;
 
   set_num_threads(1);
-  TrajectoryBackend t1(cfg);
-  t1.run(c, {}, psi_in);
-  const auto p1 = t1.probabilities();
+  const auto p1 = run_probabilities(cfg, c, {}, psi_in);
   set_num_threads(4);
-  TrajectoryBackend t4(cfg);
-  t4.run(c, {}, psi_in);
-  const auto p4 = t4.probabilities();
+  const auto p4 = run_probabilities(cfg, c, {}, psi_in);
   set_num_threads(0);
 
   ASSERT_EQ(p1.size(), p4.size());
   for (std::size_t k = 0; k < p1.size(); ++k) EXPECT_EQ(p1[k], p4[k]);
 }
 
-TEST(Backend, PrepareResetsToGroundState) {
-  const ExecutionConfig cfg;
-  for (const auto make : {+[](const ExecutionConfig& c) -> std::unique_ptr<Backend> {
-                            return std::make_unique<StatevectorBackend>(c);
-                          },
-                          +[](const ExecutionConfig& c) -> std::unique_ptr<Backend> {
-                            return std::make_unique<DensityMatrixBackend>(c);
-                          },
-                          +[](const ExecutionConfig& c) -> std::unique_ptr<Backend> {
-                            return std::make_unique<TrajectoryBackend>(c);
-                          }}) {
-    const auto backend = make(cfg);
-    backend->prepare(3);
-    EXPECT_EQ(backend->num_qubits(), 3u);
-    const auto probs = backend->probabilities();
-    ASSERT_EQ(probs.size(), 8u);
-    EXPECT_NEAR(probs[0], 1.0, 1e-14);
-    const std::vector<Index> qubits = {0, 1, 2};
-    for (const Real z : backend->expect_z(qubits)) EXPECT_NEAR(z, 1.0, 1e-14);
-  }
-}
-
-TEST(Backend, FactoryBuildsRequestedKind) {
-  ExecutionConfig cfg;
-  EXPECT_EQ(make_backend(cfg, 4)->kind(), BackendKind::kStatevector);
-  cfg.backend = BackendKind::kDensityMatrix;
-  EXPECT_EQ(make_backend(cfg, 4)->kind(), BackendKind::kDensityMatrix);
-  cfg.backend = BackendKind::kTrajectory;
-  EXPECT_EQ(make_backend(cfg, 4)->kind(), BackendKind::kTrajectory);
-}
-
 TEST(Backend, FactorySubstitutesStatevectorForOversizedNoiselessDensity) {
+  // Above the dense cap a trivial channel runs the statevector (exact for
+  // unitary evolution) and says so once; an active channel throws.
+  const Index too_big = max_density_qubits() + 1;
+  Circuit c(too_big);
+  for (Index q = 0; q < too_big; ++q)
+    c.ry(q, 0.3 + 0.1 * static_cast<Real>(q));
+  for (Index q = 0; q + 1 < too_big; ++q) c.cx(q, q + 1);
+  const auto p_sv =
+      run_probabilities(ExecutionConfig{}, c, {}, StateVector(too_big));
+
   ExecutionConfig cfg;
   cfg.backend = BackendKind::kDensityMatrix;
-  const Index too_big = max_density_qubits() + 1;
-  EXPECT_EQ(make_backend(cfg, too_big)->kind(), BackendKind::kStatevector);
+  fault::clear_degradation_events();
+  const auto p_dm = run_probabilities(cfg, c, {}, StateVector(too_big));
+  const auto events = fault::degradation_events();
+  ASSERT_EQ(p_dm.size(), p_sv.size());
+  for (std::size_t k = 0; k < p_sv.size(); ++k) ASSERT_EQ(p_dm[k], p_sv[k]);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].component, "backend");
+
   cfg.noise.gate_error_prob = 0.01;
-  EXPECT_THROW((void)make_backend(cfg, too_big), std::invalid_argument);
+  EXPECT_THROW((void)run_probabilities(cfg, c, {}, StateVector(too_big)),
+               std::invalid_argument);
 }
 
 TEST(Backend, EnvOverridesAreApplied) {

@@ -11,11 +11,13 @@
 #include <span>
 #include <string>
 
+#include "common/fault.h"
 #include "common/rng.h"
 #include "qsim/backend.h"
 #include "qsim/density_matrix.h"
 #include "qsim/encoding.h"
 #include "qsim/noise.h"
+#include "qsim/shots.h"
 
 namespace qugeo::qsim {
 namespace {
@@ -189,21 +191,17 @@ TEST(Channels, TrajectorySamplingConvergesToExactChannelForEveryKind) {
     ExecutionConfig cfg;
     cfg.noise = tc.noise;
     cfg.backend = BackendKind::kDensityMatrix;
-    DensityMatrixBackend dm(cfg);
-    dm.run(c, {});
+    const auto p_dm = run_probabilities(cfg, c, {}, StateVector(2));
 
     cfg.backend = BackendKind::kTrajectory;
     cfg.trajectories = 4000;
     cfg.seed = 1234;
-    TrajectoryBackend traj(cfg);
-    traj.run(c, {});
+    const auto p_tr = run_probabilities(cfg, c, {}, StateVector(2));
 
-    const auto z_dm = dm.expect_z(qubits);
-    const auto z_tr = traj.expect_z(qubits);
+    const auto z_dm = expect_z_from_probabilities(p_dm, qubits);
+    const auto z_tr = expect_z_from_probabilities(p_tr, qubits);
     for (std::size_t i = 0; i < qubits.size(); ++i)
       EXPECT_NEAR(z_tr[i], z_dm[i], 0.05) << tc.what << " qubit " << i;
-    const auto p_dm = dm.probabilities();
-    const auto p_tr = traj.probabilities();
     for (std::size_t k = 0; k < p_dm.size(); ++k)
       EXPECT_NEAR(p_tr[k], p_dm[k], 0.05) << tc.what << " state " << k;
   }
@@ -233,14 +231,26 @@ TEST(Channels, OversizedDensityRequestNamesTheChannel) {
   // trivial NoiseModel. Any active channel above the dense cap must throw
   // an error naming the channel, never silently fall back.
   const Index too_big = max_density_qubits() + 1;
+  Circuit c(too_big);
+  for (Index q = 0; q < too_big; ++q) c.h(q);
+  for (Index q = 0; q + 1 < too_big; ++q) c.cry(q, q + 1, 0.7);
+  const auto p_sv =
+      run_probabilities(ExecutionConfig{}, c, {}, StateVector(too_big));
+
   ExecutionConfig cfg;
   cfg.backend = BackendKind::kDensityMatrix;
-  EXPECT_EQ(make_backend(cfg, too_big)->kind(), BackendKind::kStatevector);
+  fault::clear_degradation_events();
+  const auto p_dm = run_probabilities(cfg, c, {}, StateVector(too_big));
+  ASSERT_EQ(p_dm.size(), p_sv.size());
+  for (std::size_t k = 0; k < p_sv.size(); ++k) ASSERT_EQ(p_dm[k], p_sv[k]);
+  const auto events = fault::degradation_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].component, "backend");
 
   cfg.noise.gate_error_prob = 0.01;
   cfg.noise.channel = NoiseChannel::kAmplitudeDamping;
   try {
-    (void)make_backend(cfg, too_big);
+    (void)run_probabilities(cfg, c, {}, StateVector(too_big));
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& err) {
     EXPECT_NE(std::string(err.what()).find("amplitude_damping"),
@@ -251,18 +261,20 @@ TEST(Channels, OversizedDensityRequestNamesTheChannel) {
   cfg.noise.gate_error_prob = 0;
   cfg.noise.readout_error = 0.02;
   try {
-    (void)make_backend(cfg, too_big);
+    (void)run_probabilities(cfg, c, {}, StateVector(too_big));
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& err) {
     EXPECT_NE(std::string(err.what()).find("readout"), std::string::npos)
         << err.what();
   }
 
-  // A shot wrapper owns the readout error, so the wrapped density request
-  // degenerates to a trivial inner model and the exact substitution is
-  // legal again.
+  // The shot readout stage owns the readout error, so the density engine
+  // runs a trivial model and the exact substitution is legal again.
   cfg.shots = 1024;
-  EXPECT_EQ(make_backend(cfg, too_big)->kind(), BackendKind::kShot);
+  fault::clear_degradation_events();
+  const auto sampled = run_probabilities(cfg, c, {}, StateVector(too_big));
+  ASSERT_EQ(sampled.size(), p_sv.size());
+  EXPECT_EQ(fault::degradation_events().size(), 1u);
 
   ::setenv("QUGEO_NOISE_CHANNEL", "phase_damping", 1);
   EXPECT_EQ(apply_env_overrides(ExecutionConfig{}).noise.channel,

@@ -5,10 +5,12 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "qsim/backend.h"
 #include "qsim/density_matrix.h"
 #include "qsim/encoding.h"
 #include "qsim/executor.h"
 #include "qsim/noise.h"
+#include "qsim/shots.h"
 
 namespace qugeo::qsim {
 namespace {
@@ -62,7 +64,7 @@ TEST(DensityMatrix, NoiselessEvolutionMatchesStateVector) {
     StateVector psi(3);
     run_circuit(c, {}, psi);
     DensityMatrix rho(3);
-    run_circuit_density(c, {}, rho, 0.0);
+    run_circuit_density(c, {}, rho, NoiseModel{});
     const auto p_rho = rho.probabilities();
     for (Index k = 0; k < 8; ++k)
       ASSERT_NEAR(p_rho[k], psi.probability(k), 1e-10) << "trial " << trial;
@@ -106,11 +108,16 @@ TEST(DensityMatrix, TrajectoryAverageConvergesToExactChannel) {
   const Real p = 0.05;
 
   DensityMatrix rho(2);
-  run_circuit_density(c, {}, rho, p);
+  run_circuit_density(c, {}, rho, NoiseModel{p});
 
+  ExecutionConfig cfg;
+  cfg.backend = BackendKind::kTrajectory;
+  cfg.noise = NoiseModel{p};
+  cfg.seed = 3;
+  cfg.trajectories = 4000;
   const std::vector<Index> qubits = {0, 1};
-  const auto z_traj = noisy_expect_z(c, {}, StateVector(2), qubits,
-                                     NoiseModel{p}, 3, 4000);
+  const auto z_traj = expect_z_from_probabilities(
+      run_probabilities(cfg, c, {}, StateVector(2)), qubits);
   EXPECT_NEAR(z_traj[0], rho.expect_z(0), 0.05);
   EXPECT_NEAR(z_traj[1], rho.expect_z(1), 0.05);
 }
@@ -120,8 +127,8 @@ TEST(DensityMatrix, KrausChannelMatchesUnitaryConjugation) {
   Rng rng(9);
   const Circuit c = random_circuit(3, 12, rng);
   DensityMatrix a(3), b(3);
-  run_circuit_density(c, {}, a, 0.0);
-  run_circuit_density(c, {}, b, 0.0);
+  run_circuit_density(c, {}, a, NoiseModel{});
+  run_circuit_density(c, {}, b, NoiseModel{});
   const Mat2 u = u3_matrix(0.7, -0.3, 1.1);
   a.apply_1q(u, 1);
   b.apply_kraus(std::span<const Mat2>(&u, 1), 1);
@@ -137,8 +144,8 @@ TEST(DensityMatrix, KrausDepolarizingMatchesClosedForm) {
   Rng rng(10);
   const Circuit c = random_circuit(2, 10, rng);
   DensityMatrix a(2), b(2);
-  run_circuit_density(c, {}, a, 0.0);
-  run_circuit_density(c, {}, b, 0.0);
+  run_circuit_density(c, {}, a, NoiseModel{});
+  run_circuit_density(c, {}, b, NoiseModel{});
 
   const Real k0 = std::sqrt(1 - p), kp = std::sqrt(p / 3);
   const Mat2 kraus[4] = {
@@ -153,7 +160,7 @@ TEST(DensityMatrix, KrausDepolarizingMatchesClosedForm) {
       ASSERT_NEAR(std::abs(a.element(r, col) - b.element(r, col)), 0.0, 1e-12);
 }
 
-TEST(DensityMatrix, ResetAndSetFromState) {
+TEST(DensityMatrix, SetFromStateReplacesEvolvedState) {
   Rng rng(11);
   StateVector psi(2);
   std::vector<Real> data(4);
@@ -164,9 +171,7 @@ TEST(DensityMatrix, ResetAndSetFromState) {
   rho.set_from_state(psi);
   const auto probs = rho.probabilities();
   for (Index k = 0; k < 4; ++k) EXPECT_NEAR(probs[k], psi.probability(k), 1e-12);
-  rho.reset();
-  EXPECT_NEAR(rho.probabilities()[0], 1.0, 1e-14);
-  EXPECT_NEAR(rho.purity(), 1.0, 1e-14);
+  EXPECT_NEAR(rho.purity(), 1.0, 1e-12);
 }
 
 TEST(DensityMatrix, SwapConjugation) {

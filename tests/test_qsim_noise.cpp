@@ -1,14 +1,32 @@
 // Depolarizing-trajectory executor: zero noise reduces to exact execution;
 // strong noise contracts <Z> toward zero; determinism under a fixed seed.
+// Averages come from the trajectory backend of run_probabilities.
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "qsim/backend.h"
 #include "qsim/executor.h"
 #include "qsim/noise.h"
+#include "qsim/shots.h"
 
 namespace qugeo::qsim {
 namespace {
+
+/// Trajectory-averaged <Z_q> of `circuit` from |0...0> under depolarizing
+/// noise of strength p.
+std::vector<Real> trajectory_z(const Circuit& circuit,
+                               std::span<const Index> qubits, Real p,
+                               std::uint64_t seed, std::size_t trajectories) {
+  ExecutionConfig cfg;
+  cfg.backend = BackendKind::kTrajectory;
+  cfg.noise = NoiseModel{p};
+  cfg.seed = seed;
+  cfg.trajectories = trajectories;
+  return expect_z_from_probabilities(
+      run_probabilities(cfg, circuit, {}, StateVector(circuit.num_qubits())),
+      qubits);
+}
 
 Circuit small_circuit() {
   Circuit c(2);
@@ -43,9 +61,8 @@ TEST(Noise, DepolarizingContractsZ) {
   // pulls the trajectory average toward 0.
   Circuit c(1);
   for (int i = 0; i < 10; ++i) c.rz(0, 0.0);  // 10 noise insertion points
-  StateVector psi0(1);
   const std::vector<Index> qubits = {0};
-  const auto z = noisy_expect_z(c, {}, psi0, qubits, NoiseModel{0.2}, 3, 400);
+  const auto z = trajectory_z(c, qubits, 0.2, 3, 400);
   EXPECT_LT(std::abs(z[0]), 0.6);
   EXPECT_GT(z[0], -0.3);
 }
@@ -64,8 +81,7 @@ TEST(Noise, MildNoiseDegradesGracefully) {
   StateVector exact(2);
   run_circuit(c, {}, exact);
   const std::vector<Index> qubits = {0, 1};
-  const auto z_mild =
-      noisy_expect_z(c, {}, StateVector(2), qubits, NoiseModel{0.01}, 5, 600);
+  const auto z_mild = trajectory_z(c, qubits, 0.01, 5, 600);
   EXPECT_NEAR(z_mild[0], exact.expect_z(0), 0.15);
   EXPECT_NEAR(z_mild[1], exact.expect_z(1), 0.15);
 }
@@ -76,11 +92,9 @@ TEST(Noise, TrajectoryStreamsIndependentOfThreadCount) {
   const Circuit c = small_circuit();
   const std::vector<Index> qubits = {0, 1};
   set_num_threads(1);
-  const auto z1 =
-      noisy_expect_z(c, {}, StateVector(2), qubits, NoiseModel{0.1}, 7, 64);
+  const auto z1 = trajectory_z(c, qubits, 0.1, 7, 64);
   set_num_threads(4);
-  const auto z4 =
-      noisy_expect_z(c, {}, StateVector(2), qubits, NoiseModel{0.1}, 7, 64);
+  const auto z4 = trajectory_z(c, qubits, 0.1, 7, 64);
   set_num_threads(0);
   ASSERT_EQ(z1.size(), z4.size());
   for (std::size_t i = 0; i < z1.size(); ++i) EXPECT_EQ(z1[i], z4[i]);
@@ -89,12 +103,9 @@ TEST(Noise, TrajectoryStreamsIndependentOfThreadCount) {
 TEST(Noise, SameSeedSameAverageDifferentSeedDiffers) {
   const Circuit c = small_circuit();
   const std::vector<Index> qubits = {0};
-  const auto a =
-      noisy_expect_z(c, {}, StateVector(2), qubits, NoiseModel{0.2}, 11, 32);
-  const auto b =
-      noisy_expect_z(c, {}, StateVector(2), qubits, NoiseModel{0.2}, 11, 32);
-  const auto other =
-      noisy_expect_z(c, {}, StateVector(2), qubits, NoiseModel{0.2}, 12, 32);
+  const auto a = trajectory_z(c, qubits, 0.2, 11, 32);
+  const auto b = trajectory_z(c, qubits, 0.2, 11, 32);
+  const auto other = trajectory_z(c, qubits, 0.2, 12, 32);
   EXPECT_EQ(a[0], b[0]);
   EXPECT_NE(a[0], other[0]);
 }

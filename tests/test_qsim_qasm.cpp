@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "qsim/executor.h"
 #include "qsim/qasm.h"
@@ -168,6 +170,23 @@ TEST(Qasm, ParserRejectsMalformedInput) {
                            "OPENQASM 2.0;\nqreg q[1];\nry(1e999) q[0];\n",
                            "OPENQASM nan;\nqreg q[1];\n"})
     EXPECT_THROW((void)from_qasm(text), std::invalid_argument) << text;
+  // A second qreg would replace the register after earlier gates were
+  // range-checked against the first, and equal two-qubit operands would
+  // reach Circuit::cx; both must fail in the parser, naming the offending
+  // line.
+  for (const auto& [text, line] :
+       {std::pair<const char*, const char*>{
+            "OPENQASM 2.0;\nqreg q[4];\nx q[3];\nqreg r[2];\n", "line 4"},
+        std::pair<const char*, const char*>{
+            "OPENQASM 2.0;\nqreg q[2];\ncx q[1],q[1];\n", "line 3"}}) {
+    try {
+      (void)from_qasm(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

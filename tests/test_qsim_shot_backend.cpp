@@ -1,7 +1,8 @@
-// ShotBackend conformance: convergence of the empirical distribution to
-// the wrapped backend's exact probabilities (binomial 4-sigma bound),
-// bit-identical sampling for any thread count, exact pass-through at
-// shots = 0, readout-error inversion, and factory/env plumbing.
+// Shot readout stage of run_probabilities: convergence of the empirical
+// distribution to the engine's exact probabilities (binomial 4-sigma
+// bound), bit-identical sampling for any thread count, exact pass-through
+// at shots = 0, readout-error inversion, every engine under the stage, and
+// env plumbing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +12,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "qsim/backend.h"
-#include "qsim/encoding.h"
 #include "qsim/shots.h"
 
 namespace qugeo::qsim {
@@ -29,16 +29,12 @@ Circuit spread_circuit(Index qubits) {
 TEST(ShotBackend, ConvergesToExactProbabilitiesWithin4SigmaBinomial) {
   const Circuit c = spread_circuit(4);
   ExecutionConfig cfg;
-  StatevectorBackend sv(cfg);
-  sv.run(c, {});
-  const auto exact = sv.probabilities();
+  const auto exact = run_probabilities(cfg, c, {}, StateVector(4));
 
   const std::size_t shots = 262144;
   cfg.shots = shots;
   cfg.seed = 31337;
-  const auto backend = make_backend(cfg, 4);
-  backend->run(c, {});
-  const auto sampled = backend->probabilities();
+  const auto sampled = run_probabilities(cfg, c, {}, StateVector(4));
 
   ASSERT_EQ(sampled.size(), exact.size());
   Real total = 0;
@@ -61,13 +57,9 @@ TEST(ShotBackend, BitIdenticalAcrossThreadCounts) {
   cfg.noise.readout_error = 0.05;  // exercise the per-shot flip draws too
 
   set_num_threads(1);
-  const auto b1 = make_backend(cfg, 3);
-  b1->run(c, {});
-  const auto p1 = b1->probabilities();
+  const auto p1 = run_probabilities(cfg, c, {}, StateVector(3));
   set_num_threads(4);
-  const auto b4 = make_backend(cfg, 3);
-  b4->run(c, {});
-  const auto p4 = b4->probabilities();
+  const auto p4 = run_probabilities(cfg, c, {}, StateVector(3));
   set_num_threads(0);
 
   ASSERT_EQ(p1.size(), p4.size());
@@ -77,23 +69,12 @@ TEST(ShotBackend, BitIdenticalAcrossThreadCounts) {
 TEST(ShotBackend, ZeroShotsIsExactlyTheWrappedBackend) {
   const Circuit c = spread_circuit(3);
   ExecutionConfig cfg;
-  StatevectorBackend sv(cfg);
-  sv.run(c, {});
+  const auto p_sv = run_probabilities(cfg, c, {}, StateVector(3));
 
   cfg.backend = BackendKind::kShot;  // shots stays 0: exact pass-through
-  const auto backend = make_backend(cfg, 3);
-  EXPECT_EQ(backend->kind(), BackendKind::kShot);
-  backend->run(c, {});
-
-  const auto p_sv = sv.probabilities();
-  const auto p_shot = backend->probabilities();
+  const auto p_shot = run_probabilities(cfg, c, {}, StateVector(3));
   ASSERT_EQ(p_sv.size(), p_shot.size());
   for (std::size_t k = 0; k < p_sv.size(); ++k) EXPECT_EQ(p_sv[k], p_shot[k]);
-
-  const std::vector<Index> qubits = {0, 1, 2};
-  const auto z_sv = sv.expect_z(qubits);
-  const auto z_shot = backend->expect_z(qubits);
-  for (std::size_t i = 0; i < qubits.size(); ++i) EXPECT_EQ(z_sv[i], z_shot[i]);
 }
 
 TEST(ShotBackend, ZeroShotsAppliesReadoutErrorExactly) {
@@ -102,21 +83,19 @@ TEST(ShotBackend, ZeroShotsAppliesReadoutErrorExactly) {
   // silently drop it: <Z> contracts by exactly (1 - 2e).
   const Circuit c = spread_circuit(3);
   ExecutionConfig cfg;
-  StatevectorBackend sv(cfg);
-  sv.run(c, {});
   const std::vector<Index> qubits = {0, 1, 2};
-  const auto z_exact = sv.expect_z(qubits);
+  const auto z_exact = expect_z_from_probabilities(
+      run_probabilities(cfg, c, {}, StateVector(3)), qubits);
 
   const Real e = 0.07;
   cfg.backend = BackendKind::kShot;  // shots stays 0
   cfg.noise.readout_error = e;
-  const auto backend = make_backend(cfg, 3);
-  backend->run(c, {});
-  const auto z = backend->expect_z(qubits);
+  const auto probs = run_probabilities(cfg, c, {}, StateVector(3));
+  const auto z = expect_z_from_probabilities(probs, qubits);
   for (std::size_t i = 0; i < qubits.size(); ++i)
     EXPECT_NEAR(z[i], (1 - 2 * e) * z_exact[i], 1e-12) << "qubit " << i;
   Real total = 0;
-  for (const Real p : backend->probabilities()) total += p;
+  for (const Real p : probs) total += p;
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
@@ -125,18 +104,12 @@ TEST(ShotBackend, SampledEstimatesAreDeterministicForAFixedSeed) {
   ExecutionConfig cfg;
   cfg.shots = 2048;
   cfg.seed = 7;
-  const auto a = make_backend(cfg, 3);
-  const auto b = make_backend(cfg, 3);
-  a->run(c, {});
-  b->run(c, {});
-  const auto pa = a->probabilities();
-  const auto pb = b->probabilities();
+  const auto pa = run_probabilities(cfg, c, {}, StateVector(3));
+  const auto pb = run_probabilities(cfg, c, {}, StateVector(3));
   for (std::size_t k = 0; k < pa.size(); ++k) EXPECT_EQ(pa[k], pb[k]);
 
   cfg.seed = 8;
-  const auto other = make_backend(cfg, 3);
-  other->run(c, {});
-  const auto po = other->probabilities();
+  const auto po = run_probabilities(cfg, c, {}, StateVector(3));
   bool any_diff = false;
   for (std::size_t k = 0; k < pa.size(); ++k) any_diff |= (pa[k] != po[k]);
   EXPECT_TRUE(any_diff);
@@ -149,19 +122,17 @@ TEST(ShotBackend, ReadoutErrorInversionRoundTrip) {
   // readout-mitigation identity the deployment scenario relies on.
   const Circuit c = spread_circuit(3);
   ExecutionConfig cfg;
-  StatevectorBackend sv(cfg);
-  sv.run(c, {});
   const std::vector<Index> qubits = {0, 1, 2};
-  const auto z_exact = sv.expect_z(qubits);
+  const auto z_exact = expect_z_from_probabilities(
+      run_probabilities(cfg, c, {}, StateVector(3)), qubits);
 
   const Real e = 0.08;
   const std::size_t shots = 200000;
   cfg.shots = shots;
   cfg.seed = 2718;
   cfg.noise.readout_error = e;
-  const auto noisy = make_backend(cfg, 3);
-  noisy->run(c, {});
-  const auto z_meas = noisy->expect_z(qubits);
+  const auto z_meas = expect_z_from_probabilities(
+      run_probabilities(cfg, c, {}, StateVector(3)), qubits);
 
   const Real tol = 4.0 / ((1 - 2 * e) * std::sqrt(static_cast<Real>(shots)));
   for (std::size_t i = 0; i < qubits.size(); ++i) {
@@ -177,12 +148,9 @@ TEST(ShotBackend, WrapsEveryInnerBackendKind) {
   ExecutionConfig exact_cfg;
   exact_cfg.backend = BackendKind::kDensityMatrix;
   exact_cfg.noise.gate_error_prob = 0.02;
-  DensityMatrixBackend dm(exact_cfg);
-  dm.run(c, {});
-  const auto p_channel = dm.probabilities();
-  StatevectorBackend sv{ExecutionConfig{}};
-  sv.run(c, {});
-  const auto p_noiseless = sv.probabilities();
+  const auto p_channel = run_probabilities(exact_cfg, c, {}, StateVector(3));
+  const auto p_noiseless =
+      run_probabilities(ExecutionConfig{}, c, {}, StateVector(3));
 
   for (const BackendKind kind :
        {BackendKind::kStatevector, BackendKind::kDensityMatrix,
@@ -193,11 +161,7 @@ TEST(ShotBackend, WrapsEveryInnerBackendKind) {
     cfg.trajectories = 2000;
     cfg.shots = 100000;
     cfg.seed = 424242;
-    const auto backend = make_backend(cfg, 3);
-    ASSERT_EQ(backend->kind(), BackendKind::kShot);
-    EXPECT_EQ(static_cast<const ShotBackend&>(*backend).inner().kind(), kind);
-    backend->run(c, {});
-    const auto p = backend->probabilities();
+    const auto p = run_probabilities(cfg, c, {}, StateVector(3));
     // Noisy inners converge to the exact channel, the noiseless
     // statevector inner to the noiseless distribution; both within the
     // combined shot + trajectory tolerance.
@@ -206,45 +170,6 @@ TEST(ShotBackend, WrapsEveryInnerBackendKind) {
     for (std::size_t k = 0; k < p.size(); ++k)
       EXPECT_NEAR(p[k], ref[k], 0.05) << backend_name(kind) << " state " << k;
   }
-}
-
-TEST(ShotBackend, PrepareResetsToGroundState) {
-  ExecutionConfig cfg;
-  cfg.shots = 64;
-  cfg.seed = 5;
-  const auto backend = make_backend(cfg, 3);
-  backend->prepare(3);
-  EXPECT_EQ(backend->num_qubits(), 3u);
-  const auto probs = backend->probabilities();
-  ASSERT_EQ(probs.size(), 8u);
-  // Sampling a deterministic distribution is exact for any budget.
-  EXPECT_EQ(probs[0], 1.0);
-  const std::vector<Index> qubits = {0, 1, 2};
-  for (const Real z : backend->expect_z(qubits)) EXPECT_EQ(z, 1.0);
-}
-
-TEST(ShotBackend, FactoryWrapsOnPositiveShots) {
-  ExecutionConfig cfg;
-  cfg.shots = 16;
-  EXPECT_EQ(make_backend(cfg, 4)->kind(), BackendKind::kShot);
-  cfg.backend = BackendKind::kTrajectory;
-  EXPECT_EQ(make_backend(cfg, 4)->kind(), BackendKind::kShot);
-  cfg.shots = 0;
-  EXPECT_EQ(make_backend(cfg, 4)->kind(), BackendKind::kTrajectory);
-  cfg.backend = BackendKind::kShot;  // named request, default inner
-  const auto named = make_backend(cfg, 4);
-  EXPECT_EQ(named->kind(), BackendKind::kShot);
-  EXPECT_EQ(static_cast<const ShotBackend&>(*named).inner().kind(),
-            BackendKind::kStatevector);
-}
-
-TEST(ShotBackend, RefusesToWrapAnotherShotBackend) {
-  ExecutionConfig cfg;
-  cfg.shots = 16;
-  EXPECT_THROW(
-      (void)ShotBackend(cfg, std::make_unique<ShotBackend>(
-                                 cfg, std::make_unique<StatevectorBackend>(cfg))),
-      std::invalid_argument);
 }
 
 TEST(ShotBackend, EnvOverridesAreApplied) {

@@ -116,17 +116,6 @@ TEST(StateVector, SetAmplitudesRejectsWrongSize) {
   EXPECT_THROW(psi.set_amplitudes_real(amps), std::invalid_argument);
 }
 
-TEST(StateVector, SamplingMatchesBornRule) {
-  StateVector psi(1);
-  psi.apply_1q(gate_matrix(GateKind::kRY, std::array<Real, 1>{Real(kPi / 3)}), 0);
-  const Real p1 = psi.probability(1);
-  Rng rng(99);
-  const auto samples = psi.sample(rng, 20000);
-  std::size_t ones = 0;
-  for (Index s : samples) ones += s;
-  EXPECT_NEAR(static_cast<Real>(ones) / 20000.0, p1, 0.02);
-}
-
 TEST(StateVector, FidelityOfOrthogonalStates) {
   StateVector a(1), b(1);
   b.apply_1q(gate_matrix(GateKind::kX, {}), 0);
