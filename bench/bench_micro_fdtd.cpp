@@ -1,15 +1,28 @@
 // Microbenchmarks of the seismic substrate: FDTD throughput vs grid size
-// and stencil order, plus the two acquisition scales of QuGeoData.
+// and stencil order, the two acquisition scales of QuGeoData, and the raw
+// corpus build's shot fan-out. FDTD rows count cell updates of the
+// computational grid: the model plus its sponge pads, which the solver
+// updates every step like the model's own cells.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
 
 #include "common/rng.h"
+#include "data/dataset.h"
 #include "seismic/forward_modeling.h"
 
 namespace {
 
 using namespace qugeo;
+
+/// Cells of the computational grid one step of `cfg` updates over an
+/// nz x nx model (the stencil halo is never updated, so it is left out).
+std::int64_t computational_cells(std::size_t nz, std::size_t nx,
+                                 const seismic::FdtdConfig& cfg) {
+  const std::size_t top = cfg.free_surface_top ? 0 : cfg.sponge_width;
+  return static_cast<std::int64_t>((nz + top + cfg.sponge_width) *
+                                   (nx + 2 * cfg.sponge_width));
+}
 
 void BM_FdtdStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -26,7 +39,7 @@ void BM_FdtdStep(benchmark::State& state) {
     benchmark::DoNotOptimize(g.data().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 50 *
-                          static_cast<std::int64_t>(n * n));
+                          computational_cells(n, n, cfg));
 }
 BENCHMARK(BM_FdtdStep)
     ->Args({70, 2})
@@ -48,12 +61,30 @@ void BM_FullScaleShot(benchmark::State& state) {
     const auto g = seismic::simulate_shot(m, {0, 35}, w, rec, cfg);
     benchmark::DoNotOptimize(g.data().data());
   }
-  // Grid-cell updates per second across the full time loop.
+  // Cell updates per second of the 94x94 computational grid, all steps.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cfg.nt) *
-                          static_cast<std::int64_t>(70 * 70));
+                          computational_cells(70, 70, cfg));
 }
 BENCHMARK(BM_FullScaleShot)->Unit(benchmark::kMillisecond);
+
+void BM_RawCorpus(benchmark::State& state) {
+  // generate_raw_dataset of 4 OpenFWI samples: 4 FlatVel draws, then all
+  // 20 full-scale shots in one pool fan-out.
+  constexpr std::size_t kSamples = 4;
+  const seismic::FlatVelConfig vel_cfg;
+  const seismic::Acquisition acq = seismic::openfwi_acquisition();
+  Rng rng(4);
+  for (auto _ : state) {
+    const data::RawDataset raw =
+        data::generate_raw_dataset(kSamples, vel_cfg, acq, rng);
+    benchmark::DoNotOptimize(raw.samples.data());
+  }
+  // Raw samples (velocity map plus 5 shot gathers) per second.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSamples));
+}
+BENCHMARK(BM_RawCorpus)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_QuantumScaleRemodel(benchmark::State& state) {
   // The Q-D-FW scaling path for one sample (Sec. 3.1.1).

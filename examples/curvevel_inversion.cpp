@@ -7,6 +7,8 @@
 //
 // Run:  ./curvevel_inversion
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.h"
 
@@ -16,16 +18,16 @@ using namespace qugeo;
 
 data::ExperimentData build_corpus(bool curved, std::size_t n, Rng& rng) {
   const seismic::Acquisition acq = seismic::openfwi_acquisition();
+  std::vector<seismic::VelocityModel> models;
+  for (std::size_t i = 0; i < n; ++i)
+    models.push_back(curved ? seismic::generate_curvevel({}, rng)
+                            : seismic::generate_flatvel({}, rng));
+  // Every shot of every sample in one pool fan-out.
+  std::vector<seismic::SeismicData> shots = seismic::model_shots(models, acq);
   data::RawDataset raw;
   raw.acquisition = acq;
-  raw.samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    data::RawSample s{curved ? seismic::generate_curvevel({}, rng)
-                             : seismic::generate_flatvel({}, rng),
-                      {}};
-    s.seismic = seismic::model_shots(s.velocity, acq);
-    raw.samples.push_back(std::move(s));
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    raw.samples.push_back({std::move(models[i]), std::move(shots[i])});
   const data::ForwardModelScaler scaler;
   data::ExperimentData d;
   d.qdfw = scaler.scale_dataset(raw, data::ScaleTarget{});

@@ -100,8 +100,18 @@ SimdMode simd_mode_from_env(SimdMode base) {
   return *parsed;
 }
 
+std::optional<SimdLevel> thread_override() noexcept {
+  if (tl_level_override < 0) return std::nullopt;
+  return static_cast<SimdLevel>(tl_level_override);
+}
+
 ScopedSimdMode::ScopedSimdMode(SimdMode mode) : saved_(tl_level_override) {
   tl_level_override = static_cast<int>(resolve_simd_level(mode));
+}
+
+ScopedSimdMode::ScopedSimdMode(std::optional<SimdLevel> level) noexcept
+    : saved_(tl_level_override) {
+  tl_level_override = level ? static_cast<int>(*level) : -1;
 }
 
 ScopedSimdMode::~ScopedSimdMode() { tl_level_override = saved_; }

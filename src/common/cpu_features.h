@@ -71,13 +71,22 @@ void set_global_simd_mode(SimdMode mode);
 /// throws std::invalid_argument.
 [[nodiscard]] SimdMode simd_mode_from_env(SimdMode base);
 
+/// The calling thread's ScopedSimdMode override, if one is installed.
+[[nodiscard]] std::optional<SimdLevel> thread_override() noexcept;
+
 /// RAII thread-local dispatch override: every kernel call on this thread
 /// between construction and destruction uses resolve_simd_level(mode).
 /// Nests (the previous override is restored). Tests and benches use it to
-/// force a level without touching the process global.
+/// force a level without touching the process global. The thread pool
+/// (common/parallel.h) installs the submitter's thread_override() on every
+/// thread that runs a chunk of the fan-out, so the override covers the
+/// work the submitter hands to the pool.
 class ScopedSimdMode {
  public:
   explicit ScopedSimdMode(SimdMode mode);
+  /// Install an already-resolved override (nullopt: none), as the pool
+  /// does on its workers.
+  explicit ScopedSimdMode(std::optional<SimdLevel> level) noexcept;
   ~ScopedSimdMode();
   ScopedSimdMode(const ScopedSimdMode&) = delete;
   ScopedSimdMode& operator=(const ScopedSimdMode&) = delete;

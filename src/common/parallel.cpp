@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
+#include "common/cpu_features.h"
 #include "common/env.h"
 #include "common/fault.h"
 #include "common/mutex.h"
@@ -25,6 +27,9 @@ thread_local bool tl_in_pool_worker = false;
 /// chunks left to claim.
 struct Task {
   std::function<void(std::size_t, std::size_t)> body;
+  // The submitter's ScopedSimdMode override, installed on every thread
+  // while it runs this task's chunks.
+  std::optional<simd::SimdLevel> simd_override;
   std::size_t begin = 0;
   std::size_t end = 0;
   std::size_t chunk = 1;
@@ -60,32 +65,31 @@ class Pool {
     start_workers();
   }
 
-  void run(std::size_t begin, std::size_t end, std::size_t grain,
+  void run(std::size_t begin, std::size_t end,
            const std::function<void(std::size_t, std::size_t)>& body)
       QUGEO_EXCLUDES(config_mutex_, mutex_) {
     const std::size_t n = end - begin;
-    if (grain == 0) grain = 1;
     std::size_t threads;
     {
       MutexLock lk(config_mutex_);
       threads = target_threads_;
     }
-    // Inline when there is nothing to fan out to, when the range is too
-    // small to amortize a dispatch, or when already inside a worker.
-    if (tl_in_pool_worker || threads <= 1 || n <= grain) {
+    // Inline when there is nothing to fan out to, when the range is a
+    // single iteration, or when already inside a worker.
+    if (tl_in_pool_worker || threads <= 1 || n <= 1) {
       if (n != 0) body(begin, end);
       return;
     }
 
     auto task = std::make_shared<Task>();
     task->body = body;
+    task->simd_override = simd::thread_override();
     task->begin = begin;
     task->end = end;
     // At most 4 chunks per thread keeps scheduling slack without letting
-    // per-chunk dispatch dominate tiny grains.
+    // per-chunk dispatch dominate cheap iterations.
     const std::size_t max_chunks = threads * 4;
-    std::size_t chunk = (n + max_chunks - 1) / max_chunks;
-    if (chunk < grain) chunk = grain;
+    const std::size_t chunk = (n + max_chunks - 1) / max_chunks;
     task->chunk = chunk;
     task->num_chunks = (n + chunk - 1) / chunk;
 
@@ -143,6 +147,7 @@ class Pool {
     const bool was_worker = tl_in_pool_worker;
     tl_in_pool_worker = true;
     std::size_t finished = 0;
+    const simd::ScopedSimdMode simd_mode(task.simd_override);
     for (;;) {
       const std::size_t c = task.next.fetch_add(1, std::memory_order_relaxed);
       if (c >= task.num_chunks) break;
@@ -234,15 +239,9 @@ void set_num_threads(std::size_t n) { Pool::instance().resize(n); }
 
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body) {
-  Pool::instance().run(begin, end, 1, [&](std::size_t lo, std::size_t hi) {
+  Pool::instance().run(begin, end, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) body(i);
   });
-}
-
-void parallel_for_chunked(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  Pool::instance().run(begin, end, grain, body);
 }
 
 }  // namespace qugeo

@@ -1,6 +1,6 @@
 // Shared persistent thread pool used by every data-parallel hot loop
-// (QuBatch chunk fan-out, trainer gradient accumulation, FDTD row sweeps,
-// multi-shot forward modelling).
+// (QuBatch chunk fan-out, trainer gradient accumulation, every shot of
+// every sample in one forward-modelling fan-out, Q-D-FW re-modelling).
 //
 // Design rules:
 //  - One global pool, sized once from the QUGEO_THREADS env var (default:
@@ -12,6 +12,8 @@
 //    count (see test_common_parallel.cpp).
 //  - Nested parallel_for calls run inline on the calling worker (no
 //    deadlock, no oversubscription).
+//  - A submitter's simd::ScopedSimdMode override (common/cpu_features.h)
+//    holds on every thread while it runs a chunk of that fan-out.
 #pragma once
 
 #include <cstddef>
@@ -36,12 +38,6 @@ void set_num_threads(std::size_t n);
 /// thread count and chunk schedule.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
-
-/// Chunked variant: body(chunk_begin, chunk_end) over contiguous
-/// sub-ranges of at least `grain` iterations. Prefer this when per-index
-/// dispatch would dominate (e.g. FDTD rows).
-void parallel_for_chunked(std::size_t begin, std::size_t end, std::size_t grain,
-                          const std::function<void(std::size_t, std::size_t)>& body);
 
 /// Deterministic fixed-order map-reduce: maps every index in parallel into
 /// a dense slot table, then folds the slots sequentially (index order) on

@@ -1,5 +1,6 @@
 #include "data/cache.h"
 
+#include <iterator>
 #include <sstream>
 
 #include "common/env.h"
@@ -113,10 +114,19 @@ ExperimentData load_or_build_experiment_data(const ExperimentDataConfig& config)
   Rng rng(config.seed);
   const seismic::FlatVelConfig vel_cfg;
   const seismic::Acquisition acq = seismic::openfwi_acquisition();
-  const RawDataset raw =
-      generate_raw_dataset(config.num_samples, vel_cfg, acq, rng);
-  const RawDataset cnn_raw =
-      generate_raw_dataset(config.cnn_train_samples, vel_cfg, acq, rng);
+  // Both sets in one call, so every shot of the build runs in one fan-out;
+  // the Q-D-CNN training maps are drawn after the corpus maps, as two
+  // calls would draw them.
+  RawDataset raw = generate_raw_dataset(
+      config.num_samples + config.cnn_train_samples, vel_cfg, acq, rng);
+  RawDataset cnn_raw;
+  cnn_raw.velocity_config = vel_cfg;
+  cnn_raw.acquisition = acq;
+  cnn_raw.samples.assign(
+      std::make_move_iterator(raw.samples.begin() +
+                              static_cast<std::ptrdiff_t>(config.num_samples)),
+      std::make_move_iterator(raw.samples.end()));
+  raw.samples.resize(config.num_samples);
 
   const auto& t = config.target;
   const DSampleScaler dsample(t);

@@ -87,18 +87,19 @@ CnnScaler train_cnn_scaler(const RawDataset& train_set, const ScaleTarget& targe
                           config.input_rec_cols, out_dim, rng);
 
   // Targets: physics-guided waveforms, L2-normalized per sample (the
-  // quantum encoder normalizes anyway, so this is the natural gauge).
-  const ForwardModelScaler reference(target);
+  // quantum encoder normalizes anyway, so this is the natural gauge),
+  // re-modelled over the pool.
+  ScaledDataset refs = ForwardModelScaler(target).scale_dataset(train_set, target);
   std::vector<nn::Tensor> inputs, targets;
   inputs.reserve(train_set.size());
   targets.reserve(train_set.size());
-  for (const RawSample& s : train_set.samples) {
-    inputs.push_back(decimate_raw(s.seismic, target.nsrc, config.input_time_rows,
-                                  config.input_rec_cols, scaler.input_scale_));
-    ScaledSample ref = reference.scale(s);
-    normalize_l2(ref.waveform);
-    targets.emplace_back(std::vector<std::size_t>{1, out_dim},
-                         std::move(ref.waveform));
+  for (std::size_t i = 0; i < train_set.size(); ++i) {
+    inputs.push_back(decimate_raw(train_set.samples[i].seismic, target.nsrc,
+                                  config.input_time_rows, config.input_rec_cols,
+                                  scaler.input_scale_));
+    std::vector<Real>& wave = refs.samples[i].waveform;
+    normalize_l2(wave);
+    targets.emplace_back(std::vector<std::size_t>{1, out_dim}, std::move(wave));
   }
 
   nn::Adam opt(scaler.net_->params());

@@ -25,7 +25,8 @@ struct CnnScalerConfig {
   std::size_t batch_size = 8;
 };
 
-/// Learned compressor; construct via train_cnn_scaler.
+/// Learned compressor; construct via train_cnn_scaler. Its nn layers own
+/// scratch buffers, so scale_dataset runs it one sample at a time.
 class CnnScaler final : public Scaler {
  public:
   [[nodiscard]] ScaledSample scale(const RawSample& raw) const override;

@@ -1,25 +1,27 @@
 #include "data/dataset.h"
 
 #include <stdexcept>
-
-#include "common/logging.h"
+#include <utility>
 
 namespace qugeo::data {
 
 RawDataset generate_raw_dataset(std::size_t count,
                                 const seismic::FlatVelConfig& vel_cfg,
                                 const seismic::Acquisition& acq, Rng& rng) {
+  // Every map is drawn before any shot runs; model_shots draws nothing, so
+  // the rng advances exactly as a draw-then-model loop would.
+  std::vector<seismic::VelocityModel> models;
+  models.reserve(count);
+  for (std::size_t i = 0; i < count; ++i)
+    models.push_back(seismic::generate_flatvel(vel_cfg, rng));
+  std::vector<seismic::SeismicData> shots = seismic::model_shots(models, acq);
+
   RawDataset ds;
   ds.velocity_config = vel_cfg;
   ds.acquisition = acq;
   ds.samples.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    RawSample s{seismic::generate_flatvel(vel_cfg, rng), {}};
-    s.seismic = seismic::model_shots(s.velocity, acq);
-    ds.samples.push_back(std::move(s));
-    if ((i + 1) % 25 == 0)
-      log_info("generate_raw_dataset: ", i + 1, "/", count, " samples");
-  }
+  for (std::size_t i = 0; i < count; ++i)
+    ds.samples.push_back({std::move(models[i]), std::move(shots[i])});
   return ds;
 }
 

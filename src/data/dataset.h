@@ -41,8 +41,10 @@ struct RawDataset {
   [[nodiscard]] std::size_t size() const noexcept { return samples.size(); }
 };
 
-/// Generate `count` raw samples: draw a FlatVel model, run the full-scale
-/// acquisition. Deterministic given the rng seed.
+/// Generate `count` raw samples: draw `count` FlatVel models, then run the
+/// acquisition over all of them in one shot fan-out
+/// (seismic::model_shots). Deterministic given the rng seed, and the same
+/// for any thread count.
 [[nodiscard]] RawDataset generate_raw_dataset(std::size_t count,
                                               const seismic::FlatVelConfig& vel_cfg,
                                               const seismic::Acquisition& acq,

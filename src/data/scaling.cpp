@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/parallel.h"
+
 namespace qugeo::data {
 
 ScaledDataset Scaler::scale_dataset(const RawDataset& raw,
@@ -14,8 +16,14 @@ ScaledDataset Scaler::scale_dataset(const RawDataset& raw,
   out.nrec = target.nrec;
   out.vel_rows = target.vel_rows;
   out.vel_cols = target.vel_cols;
-  out.samples.reserve(raw.size());
-  for (const RawSample& s : raw.samples) out.samples.push_back(scale(s));
+  out.samples.resize(raw.size());
+  const auto scale_one = [&](std::size_t i) {
+    out.samples[i] = scale(raw.samples[i]);
+  };
+  if (scales_concurrently())
+    parallel_for(0, raw.size(), scale_one);
+  else
+    for (std::size_t i = 0; i < raw.size(); ++i) scale_one(i);
   return out;
 }
 

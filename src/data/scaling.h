@@ -25,10 +25,16 @@ class Scaler {
   [[nodiscard]] virtual ScaledSample scale(const RawSample& raw) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Scale a whole dataset; `target` describes the output shape recorded in
-  /// the dataset metadata and must match what scale() produces.
+  /// Scale a whole dataset, each sample into its own slot (over the pool
+  /// when scales_concurrently()); `target` describes the output shape
+  /// recorded in the dataset metadata and must match what scale() produces.
   [[nodiscard]] ScaledDataset scale_dataset(const RawDataset& raw,
                                             const struct ScaleTarget& target) const;
+
+ protected:
+  /// True when scale() shares no mutable state between calls, so
+  /// scale_dataset may run it on several samples at once.
+  [[nodiscard]] virtual bool scales_concurrently() const { return false; }
 };
 
 /// Target shape shared by all scalers: 256 waveform values and an 8x8 map.
@@ -65,7 +71,8 @@ class DSampleScaler final : public Scaler {
 
 /// Physics-guided re-modelling ("Q-D-FW"). Requires the velocity map, so it
 /// is a training-time-only scaler (Sec. 3.1.2 motivates the CNN for
-/// deployment).
+/// deployment). Each sample is one FDTD re-model, so scale_dataset runs
+/// the samples over the pool.
 class ForwardModelScaler final : public Scaler {
  public:
   explicit ForwardModelScaler(ScaleTarget target = {},
@@ -75,6 +82,8 @@ class ForwardModelScaler final : public Scaler {
   [[nodiscard]] std::string name() const override { return "Q-D-FW"; }
 
  private:
+  [[nodiscard]] bool scales_concurrently() const override { return true; }
+
   ScaleTarget target_;
   seismic::Acquisition acq_;
   std::size_t sim_refine_;

@@ -1,3 +1,22 @@
+// Acoustic FDTD propagation (declared in fdtd.h).
+//
+// Each time step is one pass over the rows of the padded grid, on the
+// calling thread: a shot is the unit of parallelism (forward_modeling.cpp
+// fans shots out over the pool), so the sweep itself never fans out. Per
+// row it runs the stencil kernel (scalar below, or fdtd_row_avx2 when the
+// shot starts at SimdLevel::kAvx2), then applies the Cerjan sponge to that
+// row's sponge cells only: pad rows in full, the two side strips of
+// interior rows.
+//
+// Lagged-damping invariant: the next level's row iz is damped as soon as
+// its stencil ran, but the current level's row iz is damped only after
+// the stencil of next-level row iz + halo, its last reader, so the sweep
+// never reads a damped value of the level it is advancing. Every cell gets
+// the same multiply as in a separate damping pass after the sweep, and the
+// source cell (interior, weight 1) and the free-surface row (zeroed after
+// the damping either way) do not care which came first, so gathers and
+// snapshots are bitwise those of the two-pass form
+// (test_seismic_fdtd_conformance).
 #include "seismic/fdtd.h"
 
 #include <algorithm>
@@ -7,7 +26,6 @@
 #include <utility>
 
 #include "common/cpu_features.h"
-#include "common/parallel.h"
 #include "seismic/fdtd_simd.h"
 
 namespace qugeo::seismic {
@@ -111,39 +129,44 @@ void propagate_impl(const VelocityModel& model, const GridPos& source,
       damp_x[ix_c] = cerjan(ix_c - (dom.side_pad + nx) + 1, cfg.sponge_strength);
   }
 
+  // Cerjan damping of one row's sponge cells: a pad row in full, the two
+  // side strips of an interior row (where damp_z is 1, so the factor is
+  // damp_x alone). Cells outside the sponge have weight 1 and are skipped.
+  const auto damp_sponge = [&](std::vector<Real>& field, std::size_t iz_c) {
+    Real* row = field.data() + dom.cell(iz_c, 0);
+    if (iz_c < dom.top_pad || iz_c >= dom.top_pad + nz) {
+      const Real wz = damp_z[iz_c];
+      for (std::size_t ix_c = 0; ix_c < dom.nx_c; ++ix_c)
+        row[ix_c] *= wz * damp_x[ix_c];
+      return;
+    }
+    for (std::size_t ix_c = 0; ix_c < dom.side_pad; ++ix_c)
+      row[ix_c] *= damp_x[ix_c];
+    for (std::size_t ix_c = dom.nx_c - dom.side_pad; ix_c < dom.nx_c; ++ix_c)
+      row[ix_c] *= damp_x[ix_c];
+  };
+
   const Real inv_dz2 = Real(1) / (model.grid().dz * model.grid().dz);
   const Real inv_dx2 = Real(1) / (model.grid().dx * model.grid().dx);
   const Real dt2 = cfg.dt * cfg.dt;
   const std::size_t src_cell =
       dom.cell(source.iz + dom.top_pad, source.ix + dom.side_pad);
   const Real src_c2 = model.at(source.iz, source.ix) * model.at(source.iz, source.ix);
-
-  // Rows write disjoint slices of p_next (the stencil only *reads*
-  // neighbouring rows of p), so the sweep is row-parallel and the result
-  // is independent of the thread count. Small grids stay inline: the
-  // chunk grain is sized so a worker gets at least ~64k cell updates.
-  const std::size_t row_grain =
-      std::max<std::size_t>(1, (std::size_t{1} << 16) / dom.nx_c);
-
-  // SIMD dispatch is decided ONCE, on the calling thread: pool workers do
-  // not inherit a caller's thread-local ScopedSimdMode override, so the
-  // resolved flag is captured by value into the row lambdas.
-  const bool use_avx2 =
-      simd::active_level() == simd::SimdLevel::kAvx2;
+  const bool use_avx2 = simd::active_level() == simd::SimdLevel::kAvx2;
 
   for (std::size_t step = 0; step < cfg.nt; ++step) {
-    parallel_for_chunked(0, dom.nz_c, row_grain,
-                         [&, use_avx2](std::size_t z0, std::size_t z1) {
-      for (std::size_t iz_c = z0; iz_c < z1; ++iz_c) {
-        const Real* pr = p.data() + dom.cell(iz_c, 0);
-        const Real* pp = p_prev.data() + dom.cell(iz_c, 0);
-        Real* pn = p_next.data() + dom.cell(iz_c, 0);
-        const Real* cc = c2.data() + iz_c * dom.nx_c;
-        if (use_avx2) {
-          fdtd_row_avx2(Halo, stc.data(), pr, pp, pn, cc, dom.nx_c,
-                        dom.stride, inv_dz2, inv_dx2, dt2);
-          continue;
-        }
+    // One pass over the rows: p_next row iz_c is damped once computed, p row
+    // iz_c - Halo once its last reader ran (the lagged-damping invariant in
+    // the file comment); the last Halo rows of p follow the loop.
+    for (std::size_t iz_c = 0; iz_c < dom.nz_c; ++iz_c) {
+      const Real* pr = p.data() + dom.cell(iz_c, 0);
+      const Real* pp = p_prev.data() + dom.cell(iz_c, 0);
+      Real* pn = p_next.data() + dom.cell(iz_c, 0);
+      const Real* cc = c2.data() + iz_c * dom.nx_c;
+      if (use_avx2) {
+        fdtd_row_avx2(Halo, stc.data(), pr, pp, pn, cc, dom.nx_c, dom.stride,
+                      inv_dz2, inv_dx2, dt2);
+      } else {
         for (std::size_t ix_c = 0; ix_c < dom.nx_c; ++ix_c) {
           const Real* pc = pr + ix_c;  // halo makes +-k and +-k*stride safe
           Real lap = stc[0] * pc[0] * (inv_dz2 + inv_dx2);
@@ -156,7 +179,12 @@ void propagate_impl(const VelocityModel& model, const GridPos& source,
           pn[ix_c] = 2 * pc[0] - pp[ix_c] + cc[ix_c] * dt2 * lap;
         }
       }
-    });
+      damp_sponge(p_next, iz_c);
+      if (iz_c >= Halo) damp_sponge(p, iz_c - Halo);
+    }
+    for (std::size_t iz_c = dom.nz_c > Halo ? dom.nz_c - Halo : 0;
+         iz_c < dom.nz_c; ++iz_c)
+      damp_sponge(p, iz_c);
 
     p_next[src_cell] += cfg.source_amplitude *
                         wavelet(static_cast<Real>(step) * cfg.dt) * src_c2 * dt2;
@@ -165,22 +193,6 @@ void propagate_impl(const VelocityModel& model, const GridPos& source,
       Real* top = p_next.data() + dom.cell(0, 0);
       for (std::size_t ix_c = 0; ix_c < dom.nx_c; ++ix_c) top[ix_c] = 0;
     }
-
-    // Damp both time levels inside the sponge pads (Cerjan scheme).
-    parallel_for_chunked(0, dom.nz_c, row_grain, [&](std::size_t z0, std::size_t z1) {
-      for (std::size_t iz_c = z0; iz_c < z1; ++iz_c) {
-        const Real wz = damp_z[iz_c];
-        Real* pn = p_next.data() + dom.cell(iz_c, 0);
-        Real* pr = p.data() + dom.cell(iz_c, 0);
-        for (std::size_t ix_c = 0; ix_c < dom.nx_c; ++ix_c) {
-          const Real w = wz * damp_x[ix_c];
-          if (w != Real(1)) {
-            pn[ix_c] *= w;
-            pr[ix_c] *= w;
-          }
-        }
-      }
-    });
 
     std::swap(p_prev, p);
     std::swap(p, p_next);
@@ -198,8 +210,12 @@ void propagate(const VelocityModel& model, const GridPos& source,
   if (source.iz >= model.nz() || source.ix >= model.nx())
     throw std::invalid_argument("fdtd: source outside grid");
   const Stencil st = stencil_for_order(cfg.space_order);
-  if (cfg.dt <= 0 || cfg.dt > max_stable_dt(model, cfg.space_order))
+  // Written so a NaN dt fails the test too.
+  if (!(cfg.dt > 0 && cfg.dt <= max_stable_dt(model, cfg.space_order)))
     throw std::invalid_argument("fdtd: dt violates the CFL stability bound");
+  if (!std::isfinite(cfg.sponge_strength) || !std::isfinite(cfg.source_amplitude))
+    throw std::invalid_argument(
+        "fdtd: sponge strength and source amplitude must be finite");
   switch (st.halo) {
     case 1:
       propagate_impl<1>(model, source, wavelet, cfg, st,
@@ -224,8 +240,20 @@ Real max_stable_dt(const VelocityModel& model, int space_order) {
   const Stencil st = stencil_for_order(space_order);
   Real coeff_sum = std::abs(st.c[0]);
   for (std::size_t k = 1; k <= st.halo; ++k) coeff_sum += 2 * std::abs(st.c[k]);
+  const auto positive = [](Real v) { return std::isfinite(v) && v > 0; };
+  if (model.data().empty())
+    throw std::invalid_argument("fdtd: velocity model is empty");
+  if (!positive(model.grid().dz) || !positive(model.grid().dx))
+    throw std::invalid_argument(
+        "fdtd: grid spacing must be finite and positive");
+  Real c_max = 0;
+  for (Real c : model.data()) {
+    if (!positive(c))
+      throw std::invalid_argument(
+          "fdtd: velocities must be finite and positive");
+    c_max = std::max(c_max, c);
+  }
   const Real h_min = std::min(model.grid().dz, model.grid().dx);
-  const Real c_max = model.max_velocity();
   // 2-D von Neumann bound: c dt sqrt(2 * coeff_sum) / h <= 2.
   return 2 * h_min / (c_max * std::sqrt(2 * coeff_sum));
 }

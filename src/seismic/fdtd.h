@@ -28,11 +28,14 @@ struct FdtdConfig {
 };
 
 /// Largest stable time step for the model under the given stencil order
-/// (conservative CFL bound).
+/// (conservative CFL bound). Throws std::invalid_argument for an empty
+/// model, or a grid spacing or velocity that is not finite and positive.
 [[nodiscard]] Real max_stable_dt(const VelocityModel& model, int space_order);
 
 /// Propagate one shot and record pressure at the receivers. The returned
-/// gather has ceil(nt / record_every) time samples.
+/// gather has ceil(nt / record_every) time samples. Throws
+/// std::invalid_argument unless 0 < dt <= max_stable_dt (NaN included) and
+/// the sponge strength and source amplitude are finite.
 [[nodiscard]] ShotGather simulate_shot(const VelocityModel& model,
                                        const GridPos& source,
                                        const RickerWavelet& wavelet,

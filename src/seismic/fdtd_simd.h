@@ -1,9 +1,13 @@
 // AVX2/FMA variant of the FDTD stencil row sweep.
 //
 // Compiled in the dedicated -mavx2 -mfma translation unit fdtd_avx2.cpp;
-// fdtd.cpp's propagate_impl dispatches here per row when
-// simd::active_level() is kAvx2 (common/cpu_features.h). Calling it on a
-// build without the AVX2 TUs is a logic error (the stub throws).
+// fdtd.cpp's propagate_impl calls it for every row of a shot that starts
+// with simd::active_level() at kAvx2 (common/cpu_features.h). The level is
+// read once per shot, on the thread that runs it; the pool carries the
+// submitter's ScopedSimdMode to that thread. The caller damps the row's
+// sponge cells after the kernel returns, so the kernel stays a pure
+// stencil update. Calling it on a build without the AVX2 TUs is a logic
+// error (the stub throws).
 //
 // Numerical contract: per cell, the same laplacian/update formulas as the
 // scalar sweep, differing only by FMA contraction — matches scalar to

@@ -1,7 +1,9 @@
 #include "seismic/forward_modeling.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "common/parallel.h"
 
@@ -33,31 +35,80 @@ Acquisition quantum_acquisition() {
   return acq;
 }
 
-SeismicData model_shots(const VelocityModel& model, const Acquisition& acq) {
+namespace {
+
+/// Solver settings and geometry of one model's shots, resolved and
+/// validated before any shot runs.
+struct ShotPlan {
+  FdtdConfig cfg;
+  ReceiverLine receivers;
+  std::vector<GridPos> sources;
+};
+
+ShotPlan plan_shots(const VelocityModel& model, const Acquisition& acq) {
   // The recorded window is fixed at 1 second (OpenFWI: 1000 x 1 ms). The
   // simulation step subdivides it as needed to satisfy the CFL bound.
   constexpr Real kRecordTime = 1.0;
+  // 2^32 steps: a shot would run for days, so a bound this tight comes from
+  // a degenerate model (spacing or velocity off by many decades).
+  constexpr Real kMaxSteps = 4294967296.0;
+  if (acq.num_time_samples == 0)
+    throw std::invalid_argument("model_shots: num_time_samples must be > 0");
+  const auto samples = static_cast<Real>(acq.num_time_samples);
   const Real dt_limit = Real(0.9) * max_stable_dt(model, acq.fdtd.space_order);
-  std::size_t substeps = 1;
-  while (kRecordTime / static_cast<Real>(acq.num_time_samples * substeps) >
-         dt_limit)
-    ++substeps;
+  const Real estimate = kRecordTime / (samples * dt_limit);
+  if (!(estimate <= kMaxSteps / samples))
+    throw std::invalid_argument(
+        "model_shots: the CFL bound needs more than 2^32 simulation steps");
+  // The smallest substep count whose step fits under dt_limit. Start at the
+  // closed form and settle the rounding by the same test either way.
+  const auto fits = [&](std::size_t substeps) {
+    return kRecordTime /
+               static_cast<Real>(acq.num_time_samples * substeps) <=
+           dt_limit;
+  };
+  std::size_t substeps =
+      std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(estimate)));
+  while (substeps > 1 && fits(substeps - 1)) --substeps;
+  while (!fits(substeps)) ++substeps;
 
-  FdtdConfig cfg = acq.fdtd;
-  cfg.nt = acq.num_time_samples * substeps;
-  cfg.dt = kRecordTime / static_cast<Real>(cfg.nt);
-  cfg.record_every = substeps;
+  ShotPlan plan;
+  plan.cfg = acq.fdtd;
+  plan.cfg.nt = acq.num_time_samples * substeps;
+  plan.cfg.dt = kRecordTime / static_cast<Real>(plan.cfg.nt);
+  plan.cfg.record_every = substeps;
+  plan.receivers = make_receiver_line(model.nx(), acq.num_receivers);
+  plan.sources = make_source_line(model.nx(), acq.num_sources);
+  return plan;
+}
 
+}  // namespace
+
+SeismicData model_shots(const VelocityModel& model, const Acquisition& acq) {
+  return std::move(model_shots(std::span<const VelocityModel>(&model, 1), acq)
+                       .front());
+}
+
+std::vector<SeismicData> model_shots(std::span<const VelocityModel> models,
+                                     const Acquisition& acq) {
   const RickerWavelet wavelet(acq.wavelet_freq_hz);
-  const ReceiverLine receivers = make_receiver_line(model.nx(), acq.num_receivers);
-  const auto sources = make_source_line(model.nx(), acq.num_sources);
+  std::vector<ShotPlan> plans;
+  plans.reserve(models.size());
+  for (const VelocityModel& model : models)
+    plans.push_back(plan_shots(model, acq));
 
-  SeismicData data(acq.num_sources, acq.num_time_samples, acq.num_receivers);
-  // Shots are independent wave propagations writing disjoint gathers; fan
-  // them out across the pool (the per-shot FDTD row sweep then runs inline
-  // on its worker).
-  parallel_for(0, sources.size(), [&](std::size_t s) {
-    data.set_shot(s, simulate_shot(model, sources[s], wavelet, receivers, cfg));
+  std::vector<SeismicData> data(
+      models.size(),
+      SeismicData(acq.num_sources, acq.num_time_samples, acq.num_receivers));
+  // Shots are independent wave propagations writing disjoint gathers; one
+  // fan-out over every (model, shot) pair keeps the pool full across
+  // models instead of draining it at each model's last shot.
+  const std::size_t nsrc = acq.num_sources;
+  parallel_for(0, models.size() * nsrc, [&](std::size_t i) {
+    const std::size_t m = i / nsrc, s = i % nsrc;
+    const ShotPlan& plan = plans[m];
+    data[m].set_shot(s, simulate_shot(models[m], plan.sources[s], wavelet,
+                                      plan.receivers, plan.cfg));
   });
   return data;
 }

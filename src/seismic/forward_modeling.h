@@ -5,7 +5,17 @@
 //   * the quantum scale used by Q-D-FW — the velocity map downsampled to
 //     8x8 and re-modelled with an 8 Hz Ricker into 4 sources x 8 time
 //     samples x 8 receivers = 256 values (Sec. 3.1.1, Fig. 6).
+//
+// Parallelism: a shot is the unit of work. model_shots runs every
+// (model, shot) pair of its input as one pool fan-out, each shot's FDTD
+// sweep inline on its worker, each gather into its own slot, so the data
+// is bitwise the same for any QUGEO_THREADS value and any grouping of
+// models into calls. Invalid models and acquisitions throw
+// std::invalid_argument on the calling thread before any shot runs.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "seismic/fdtd.h"
 #include "seismic/survey.h"
@@ -30,9 +40,16 @@ struct Acquisition {
 [[nodiscard]] Acquisition quantum_acquisition();
 
 /// Model all shots of an acquisition over `model`. The receivers and
-/// sources are spread evenly along the surface (row 0).
+/// sources are spread evenly along the surface (row 0). The simulation
+/// step is the largest that divides the 1 s record into a whole number of
+/// steps per recorded sample within 0.9x max_stable_dt.
 [[nodiscard]] SeismicData model_shots(const VelocityModel& model,
                                       const Acquisition& acq);
+
+/// model_shots over every model, all their shots in one pool fan-out;
+/// element i equals model_shots(models[i], acq) bitwise.
+[[nodiscard]] std::vector<SeismicData> model_shots(
+    std::span<const VelocityModel> models, const Acquisition& acq);
 
 /// Q-D-FW in one call: downsample the velocity map to target_nz x target_nx
 /// and re-model at the quantum scale. Internally the coarse map is refined

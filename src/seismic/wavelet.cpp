@@ -8,8 +8,11 @@ namespace qugeo::seismic {
 RickerWavelet::RickerWavelet(Real peak_freq_hz, Real delay_s)
     : freq_(peak_freq_hz),
       delay_(delay_s < 0 ? Real(1.5) / peak_freq_hz : delay_s) {
-  if (peak_freq_hz <= 0)
-    throw std::invalid_argument("RickerWavelet: frequency must be positive");
+  if (!(std::isfinite(peak_freq_hz) && peak_freq_hz > 0))
+    throw std::invalid_argument(
+        "RickerWavelet: frequency must be finite and positive");
+  if (!std::isfinite(delay_s))
+    throw std::invalid_argument("RickerWavelet: delay must be finite");
 }
 
 Real RickerWavelet::operator()(Real t) const noexcept {

@@ -15,6 +15,8 @@ class RickerWavelet {
   /// @param peak_freq_hz  peak frequency in Hz.
   /// @param delay_s       time shift t0; defaults to 1.5 / f so the wavelet
   ///                      starts near zero amplitude.
+  /// Throws std::invalid_argument unless the frequency is finite and
+  /// positive and the delay finite (negative selects the default).
   explicit RickerWavelet(Real peak_freq_hz, Real delay_s = -1);
 
   [[nodiscard]] Real peak_freq() const noexcept { return freq_; }

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/parallel.h"
 #include "core/trainer.h"
 
@@ -30,16 +33,29 @@ TEST(Parallel, CoversEveryIndexExactlyOnce) {
   set_num_threads(0);  // restore the env/default configuration
 }
 
-TEST(Parallel, ChunkedCoversRangeWithoutOverlap) {
+TEST(Parallel, ChunksRunUnderTheSubmittersSimdOverride) {
+  // Whichever thread runs a chunk dispatches at the submitting thread's
+  // ScopedSimdMode level. On an AVX2 host one of the two modes differs
+  // from the process-global level, whatever QUGEO_SIMD says.
   set_num_threads(4);
-  std::vector<std::atomic<int>> hits(777);
-  parallel_for_chunked(0, hits.size(), 10, [&](std::size_t lo, std::size_t hi) {
-    EXPECT_LT(lo, hi);
-    for (std::size_t i = lo; i < hi; ++i)
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i)
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  const auto levels_seen = [] {
+    std::vector<simd::SimdLevel> seen(64);
+    parallel_for(0, seen.size(), [&](std::size_t i) {
+      // Long enough that the workers wake and claim chunks of their own.
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      seen[i] = simd::active_level();
+    });
+    return seen;
+  };
+  for (simd::SimdMode mode : {simd::SimdMode::kScalar, simd::SimdMode::kAuto}) {
+    const simd::ScopedSimdMode scoped(mode);
+    const simd::SimdLevel want = simd::active_level();
+    for (simd::SimdLevel got : levels_seen())
+      EXPECT_EQ(got, want) << simd::simd_mode_name(mode);
+  }
+  // Without an override the workers fall back to the global level again.
+  const simd::SimdLevel global = simd::active_level();
+  for (simd::SimdLevel got : levels_seen()) EXPECT_EQ(got, global);
   set_num_threads(0);
 }
 

@@ -3,6 +3,8 @@
 // differences.
 #include <gtest/gtest.h>
 
+#include "common/cpu_features.h"
+#include "common/parallel.h"
 #include "core/model.h"
 
 namespace qugeo::core {
@@ -82,6 +84,34 @@ TEST(Model, PredictHandlesBatchPadding) {
   for (const auto& s : samples) ptrs.push_back(&s);
   const auto preds = model.predict(ptrs);  // 3 samples, batch 2 -> pad
   EXPECT_EQ(preds.size(), 3u);
+}
+
+TEST(Model, PredictKeepsTheCallersSimdOverrideOnPoolWorkers) {
+  // Every QuBatch chunk, including those the pool's workers run, must
+  // dispatch at the caller's ScopedSimdMode level.
+  Rng rng(11);
+  const QuGeoModel model(ModelConfig{}, rng);  // headline 8 qubits, 12 blocks
+  std::vector<data::ScaledSample> samples;
+  for (int i = 0; i < 12; ++i) samples.push_back(random_sample(256, 64, rng));
+  std::vector<const data::ScaledSample*> ptrs;
+  for (const auto& s : samples) ptrs.push_back(&s);
+
+  set_num_threads(4);
+  const simd::SimdLevel global = simd::active_level();
+  simd::set_global_simd_mode(simd::SimdMode::kScalar);
+  const auto all_scalar = model.predict(ptrs);
+  simd::set_global_simd_mode(simd::SimdMode::kAuto);  // AVX2 where supported
+  const auto scoped = [&] {
+    const simd::ScopedSimdMode forced(simd::SimdMode::kScalar);
+    return model.predict(ptrs);
+  }();
+  simd::set_global_simd_mode(global == simd::SimdLevel::kAvx2
+                                 ? simd::SimdMode::kAvx2
+                                 : simd::SimdMode::kScalar);
+  set_num_threads(0);
+  ASSERT_EQ(scoped.size(), all_scalar.size());
+  for (std::size_t i = 0; i < scoped.size(); ++i)
+    EXPECT_EQ(scoped[i], all_scalar[i]) << "sample " << i;
 }
 
 TEST(Model, LossMatchesManualComputation) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -45,6 +46,44 @@ TEST(Fdtd, RejectsUnstableDt) {
   const RickerWavelet w(15.0);
   const ReceiverLine rec = make_receiver_line(16, 4);
   EXPECT_THROW((void)simulate_shot(m, {0, 8}, w, rec, cfg), std::invalid_argument);
+}
+
+TEST(Fdtd, RejectsNonFiniteSettings) {
+  // Each of these ran to an all-NaN gather; a NaN dt passed the old
+  // `dt <= 0 || dt > bound` check.
+  const VelocityModel m(Grid2D{16, 16, 10, 10}, 3000.0);
+  const RickerWavelet w(15.0);
+  const ReceiverLine rec = make_receiver_line(16, 4);
+  FdtdConfig good;
+  good.dt = 0.8 * max_stable_dt(m, good.space_order);
+  good.nt = 10;
+  FdtdConfig nan_dt = good, nan_sponge = good, nan_amplitude = good;
+  nan_dt.dt = std::nan("");
+  nan_sponge.sponge_strength = std::nan("");
+  nan_amplitude.source_amplitude = std::nan("");
+  for (const FdtdConfig& cfg : {nan_dt, nan_sponge, nan_amplitude})
+    EXPECT_THROW((void)simulate_shot(m, {0, 8}, w, rec, cfg), std::invalid_argument);
+}
+
+TEST(Fdtd, MaxStableDtRejectsDegenerateModels) {
+  const Real nan = std::nan("");
+  const Real inf = std::numeric_limits<Real>::infinity();
+  // Empty: the velocity maximum used to dereference an empty range.
+  EXPECT_THROW((void)max_stable_dt(VelocityModel(Grid2D{0, 8, 10, 10}, 2000.0), 4),
+               std::invalid_argument);
+  for (Real h : {Real(0), Real(-10), nan, inf}) {
+    EXPECT_THROW((void)max_stable_dt(VelocityModel(Grid2D{8, 8, h, 10}, 2000.0), 4),
+                 std::invalid_argument)
+        << "dz " << h;
+    EXPECT_THROW((void)max_stable_dt(VelocityModel(Grid2D{8, 8, 10, h}, 2000.0), 4),
+                 std::invalid_argument)
+        << "dx " << h;
+  }
+  for (Real c : {Real(0), Real(-2000), nan, inf}) {
+    VelocityModel m(Grid2D{8, 8, 10, 10}, 2000.0);
+    m.at(5, 3) = c;
+    EXPECT_THROW((void)max_stable_dt(m, 4), std::invalid_argument) << "c " << c;
+  }
 }
 
 TEST(Fdtd, RejectsBadStencilOrder) {

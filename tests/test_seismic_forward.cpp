@@ -2,6 +2,11 @@
 // physics-guided remodel path used by Q-D-FW.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "common/cpu_features.h"
+#include "common/parallel.h"
 #include "seismic/forward_modeling.h"
 
 namespace qugeo::seismic {
@@ -123,6 +128,117 @@ TEST(PhysicsRemodel, RefineZeroRejected) {
   Rng rng(8);
   const VelocityModel m = generate_flatvel(FlatVelConfig{}, rng);
   EXPECT_THROW((void)physics_guided_remodel(m, 8, 8, quantum_acquisition(), 0),
+               std::invalid_argument);
+}
+
+Acquisition small_acquisition() {
+  Acquisition acq;
+  acq.num_sources = 2;
+  acq.num_receivers = 6;
+  acq.num_time_samples = 40;
+  return acq;
+}
+
+// Regression inputs: each of these used to hang in the substep search
+// (zero spacing, a negative velocity, no time samples) or return an
+// all-NaN volume (a NaN velocity, a NaN Ricker frequency).
+TEST(ModelShots, RejectsZeroGridSpacing) {
+  EXPECT_THROW((void)model_shots(VelocityModel(Grid2D{12, 12, 0, 10}, 2000.0),
+                                 small_acquisition()),
+               std::invalid_argument);
+}
+
+TEST(ModelShots, RejectsNegativeVelocity) {
+  EXPECT_THROW((void)model_shots(VelocityModel(Grid2D{12, 12, 10, 10}, -2000.0),
+                                 small_acquisition()),
+               std::invalid_argument);
+}
+
+TEST(ModelShots, RejectsNanVelocity) {
+  VelocityModel m(Grid2D{12, 12, 10, 10}, 2000.0);
+  m.at(6, 6) = std::nan("");
+  EXPECT_THROW((void)model_shots(m, small_acquisition()), std::invalid_argument);
+}
+
+TEST(ModelShots, RejectsNanWaveletFrequency) {
+  Acquisition acq = small_acquisition();
+  acq.wavelet_freq_hz = std::nan("");
+  EXPECT_THROW((void)model_shots(VelocityModel(Grid2D{12, 12, 10, 10}, 2000.0), acq),
+               std::invalid_argument);
+}
+
+TEST(ModelShots, RejectsZeroTimeSamples) {
+  Acquisition acq = small_acquisition();
+  acq.num_time_samples = 0;
+  EXPECT_THROW((void)model_shots(VelocityModel(Grid2D{12, 12, 10, 10}, 2000.0), acq),
+               std::invalid_argument);
+}
+
+TEST(ModelShots, SubstepsAreTheSmallestThatFitTheCflBound) {
+  // The closed-form start of the substep search must land on the count the
+  // plain upward search finds, so every valid model keeps its nt and dt.
+  const Acquisition acq = small_acquisition();
+  const RickerWavelet wavelet(acq.wavelet_freq_hz);
+  for (Real c : {1500.0, 2345.6, 4500.0})
+    for (Real h : {2.5, 7.0, 10.0, 25.0}) {
+      const VelocityModel m(Grid2D{10, 10, h, h}, c);
+      const Real dt_limit = Real(0.9) * max_stable_dt(m, acq.fdtd.space_order);
+      std::size_t substeps = 1;
+      while (1.0 / static_cast<Real>(acq.num_time_samples * substeps) > dt_limit)
+        ++substeps;
+      FdtdConfig cfg = acq.fdtd;
+      cfg.nt = acq.num_time_samples * substeps;
+      cfg.dt = 1.0 / static_cast<Real>(cfg.nt);
+      cfg.record_every = substeps;
+      const ReceiverLine rec = make_receiver_line(m.nx(), acq.num_receivers);
+      const auto sources = make_source_line(m.nx(), acq.num_sources);
+      const SeismicData d = model_shots(m, acq);
+      for (std::size_t s = 0; s < sources.size(); ++s) {
+        const ShotGather g = simulate_shot(m, sources[s], wavelet, rec, cfg);
+        const auto got = d.shot_span(s);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), g.data().begin()))
+            << "c " << c << " h " << h << " shot " << s;
+      }
+    }
+}
+
+TEST(ModelShots, PoolWorkersKeepTheCallersSimdOverride) {
+  // Under a thread-local ScopedSimdMode every shot, including those the
+  // pool's workers run, must dispatch at the forced level.
+  Rng rng(9);
+  FlatVelConfig vcfg;
+  vcfg.nz = 24;
+  vcfg.nx = 24;
+  const VelocityModel m = generate_flatvel(vcfg, rng);
+  Acquisition acq = small_acquisition();
+  acq.num_sources = 5;
+  set_num_threads(4);
+  const simd::SimdLevel global = simd::active_level();
+  simd::set_global_simd_mode(simd::SimdMode::kScalar);
+  const SeismicData all_scalar = model_shots(m, acq);
+  simd::set_global_simd_mode(simd::SimdMode::kAuto);  // AVX2 where supported
+  const SeismicData scoped = [&] {
+    const simd::ScopedSimdMode forced(simd::SimdMode::kScalar);
+    return model_shots(m, acq);
+  }();
+  simd::set_global_simd_mode(global == simd::SimdLevel::kAvx2
+                                 ? simd::SimdMode::kAvx2
+                                 : simd::SimdMode::kScalar);
+  set_num_threads(0);
+  ASSERT_EQ(scoped.size(), all_scalar.size());
+  for (std::size_t s = 0; s < acq.num_sources; ++s) {
+    const auto a = scoped.shot_span(s), b = all_scalar.shot_span(s);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "shot " << s;
+  }
+}
+
+TEST(PhysicsRemodel, RejectsZeroTargetSize) {
+  // A 0-row target used to dereference the maximum of an empty model.
+  Rng rng(10);
+  const VelocityModel m = generate_flatvel(FlatVelConfig{}, rng);
+  EXPECT_THROW((void)physics_guided_remodel(m, 0, 8, quantum_acquisition()),
+               std::invalid_argument);
+  EXPECT_THROW((void)physics_guided_remodel(m, 8, 0, quantum_acquisition()),
                std::invalid_argument);
 }
 

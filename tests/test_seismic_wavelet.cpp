@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "seismic/wavelet.h"
 
@@ -69,6 +70,16 @@ TEST(Ricker, MeanIsApproximatelyZero) {
 TEST(Ricker, RejectsNonPositiveFrequency) {
   EXPECT_THROW(RickerWavelet(0.0), std::invalid_argument);
   EXPECT_THROW(RickerWavelet(-5.0), std::invalid_argument);
+  // Non-finite frequencies used to build a wavelet that evaluates to NaN.
+  EXPECT_THROW(RickerWavelet(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(RickerWavelet(std::numeric_limits<Real>::infinity()),
+               std::invalid_argument);
+}
+
+TEST(Ricker, RejectsNonFiniteDelay) {
+  EXPECT_THROW(RickerWavelet(15.0, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(RickerWavelet(15.0, std::numeric_limits<Real>::infinity()),
+               std::invalid_argument);
 }
 
 }  // namespace
