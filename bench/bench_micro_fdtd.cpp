@@ -1,13 +1,19 @@
 // Microbenchmarks of the seismic substrate: FDTD throughput vs grid size
-// and stencil order, the two acquisition scales of QuGeoData, and the raw
-// corpus build's shot fan-out. FDTD rows count cell updates of the
-// computational grid: the model plus its sponge pads, which the solver
-// updates every step like the model's own cells.
+// and stencil order, the two acquisition scales of QuGeoData, the raw
+// corpus build's shot fan-out, and the whole cached corpus build. FDTD
+// rows count cell updates of the computational grid: the model plus its
+// sponge pads, which the solver updates every step like the model's own
+// cells.
 #include <benchmark/benchmark.h>
+
+#include <filesystem>
+#include <string>
 
 #include "bench_micro_main.h"
 
+#include "common/logging.h"
 #include "common/rng.h"
+#include "data/cache.h"
 #include "data/dataset.h"
 #include "seismic/forward_modeling.h"
 
@@ -85,6 +91,34 @@ void BM_RawCorpus(benchmark::State& state) {
                           static_cast<std::int64_t>(kSamples));
 }
 BENCHMARK(BM_RawCorpus)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_ExperimentCorpus(benchmark::State& state) {
+  // load_or_build_experiment_data on a cache miss: 4 + 1 OpenFWI maps (the
+  // corpus maps model the shot their scalers read, the Q-D-CNN training map
+  // all 5), 25 scaler epochs, the default target, and the six cache writes.
+  namespace fs = std::filesystem;
+  data::ExperimentDataConfig cfg;
+  cfg.num_samples = 4;
+  cfg.train_count = 3;
+  cfg.cnn_train_samples = 1;
+  cfg.cnn.epochs = 25;
+  const fs::path root = fs::temp_directory_path() / "qugeo_bm_corpus";
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kWarn);  // the build logs each cache miss
+  std::size_t run = 0;
+  for (auto _ : state) {
+    cfg.cache_dir = root / std::to_string(run++);  // always a cache miss
+    const data::ExperimentData d = data::load_or_build_experiment_data(cfg);
+    benchmark::DoNotOptimize(d.qdcnn.samples.data());
+  }
+  set_log_level(saved);
+  fs::remove_all(root);
+  // Raw samples (corpus plus Q-D-CNN training maps) built per second.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cfg.num_samples +
+                                                    cfg.cnn_train_samples));
+}
+BENCHMARK(BM_ExperimentCorpus)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_QuantumScaleRemodel(benchmark::State& state) {
   // The Q-D-FW scaling path for one sample (Sec. 3.1.1).

@@ -25,12 +25,15 @@ int main() {
     spec.batch_log2 = blog;
     const auto r = run_vqc_experiment(setup.data, spec, setup.train);
     if (blog == 0) baseline_ssim = r.train.final_ssim;
-    const Real degradation =
-        100.0 * (baseline_ssim - r.train.final_ssim) / baseline_ssim;
-    std::printf("%-6zu | %-12zu | %8.4f | %10.3e | %s%.2f%%\n",
-                std::size_t{1} << blog, static_cast<std::size_t>(blog),
-                r.train.final_ssim, r.train.final_mse,
-                blog == 0 ? "BL " : "-", blog == 0 ? 0.0 : degradation);
+    std::printf("%-6zu | %-12zu | %8.4f | %10.3e | ", std::size_t{1} << blog,
+                static_cast<std::size_t>(blog), r.train.final_ssim,
+                r.train.final_mse);
+    // The signed relative SSIM change: the paper's batch-2 drop reads -0.69%.
+    if (blog == 0)
+      std::printf("BL\n");
+    else
+      std::printf("%+.2f%%\n",
+                  100.0 * (r.train.final_ssim - baseline_ssim) / baseline_ssim);
   }
   std::printf("\nExpected shape: 2^N batches need only N extra qubits; SSIM "
               "degrades slightly and monotonically with batch size.\n");

@@ -1,9 +1,11 @@
 #include "common/io.h"
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #ifndef _WIN32
@@ -71,6 +73,8 @@ class ByteReader {
     return v;
   }
 
+  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
+
  private:
   const unsigned char* data_;
   std::size_t size_;
@@ -100,6 +104,16 @@ std::vector<unsigned char> read_all_bytes(const std::filesystem::path& path) {
   return bytes;
 }
 
+/// Product of `dims`, or nullopt when it overflows size_t.
+std::optional<std::size_t> element_count(std::span<const std::size_t> dims) {
+  std::size_t count = 1;
+  for (std::size_t d : dims) {
+    if (d != 0 && count > SIZE_MAX / d) return std::nullopt;
+    count *= d;
+  }
+  return count;
+}
+
 LoadedTensor parse_tensor_body(const unsigned char* data, std::size_t size,
                                const std::filesystem::path& path) {
   ByteReader r(data, size);
@@ -111,13 +125,18 @@ LoadedTensor parse_tensor_body(const unsigned char* data, std::size_t size,
   if (rank > 16) throw std::runtime_error("load_tensor: implausible rank");
   LoadedTensor t;
   t.shape.resize(rank);
-  std::size_t count = 1;
-  for (auto& d : t.shape) {
+  for (auto& d : t.shape)
     d = static_cast<std::size_t>(r.read_as<std::uint64_t>());
-    count *= d;
-  }
-  t.data.resize(count);
-  r.read(t.data.data(), count * sizeof(Real));
+  // The dims come from the file: the payload must hold exactly their
+  // product in values, checked before anything is allocated for it.
+  const std::optional<std::size_t> count = element_count(t.shape);
+  const std::size_t left = size - r.position();
+  if (!count || left % sizeof(Real) != 0 || *count != left / sizeof(Real))
+    throw std::runtime_error("load_tensor: " + path.string() +
+                             " declares a shape its " + std::to_string(left) +
+                             " payload bytes do not hold");
+  t.data.resize(*count);
+  r.read(t.data.data(), left);
   return t;
 }
 
@@ -206,9 +225,8 @@ FramedPayload read_framed_file(const std::filesystem::path& path) {
 void save_tensor(const std::filesystem::path& path,
                  std::span<const Real> data,
                  std::span<const std::size_t> shape) {
-  std::size_t count = 1;
-  for (std::size_t d : shape) count *= d;
-  if (count != data.size())
+  const std::optional<std::size_t> count = element_count(shape);
+  if (!count || *count != data.size())
     throw std::invalid_argument("save_tensor: shape does not match data size");
 
   std::vector<unsigned char> body;

@@ -1,6 +1,6 @@
 #include "data/cache.h"
 
-#include <iterator>
+#include <algorithm>
 #include <sstream>
 
 #include "common/env.h"
@@ -114,21 +114,19 @@ ExperimentData load_or_build_experiment_data(const ExperimentDataConfig& config)
   Rng rng(config.seed);
   const seismic::FlatVelConfig vel_cfg;
   const seismic::Acquisition acq = seismic::openfwi_acquisition();
-  // Both sets in one call, so every shot of the build runs in one fan-out;
-  // the Q-D-CNN training maps are drawn after the corpus maps, as two
-  // calls would draw them.
-  RawDataset raw = generate_raw_dataset(
-      config.num_samples + config.cnn_train_samples, vel_cfg, acq, rng);
-  RawDataset cnn_raw;
-  cnn_raw.velocity_config = vel_cfg;
-  cnn_raw.acquisition = acq;
-  cnn_raw.samples.assign(
-      std::make_move_iterator(raw.samples.begin() +
-                              static_cast<std::ptrdiff_t>(config.num_samples)),
-      std::make_move_iterator(raw.samples.end()));
-  raw.samples.resize(config.num_samples);
-
   const auto& t = config.target;
+  // The corpus maps model only the shots the scalers read: D-Sample and
+  // the Q-D-CNN input pick picked_sources() of a volume, which reads a
+  // volume of just those shots in order, and Q-D-FW reads only the map.
+  // A target of more shots than the acquisition has reads every source,
+  // so the min models each once. The Q-D-CNN training maps, drawn next,
+  // model every source: the scaler's input scale is max|raw| over them.
+  const RawDataset raw = generate_raw_dataset(
+      config.num_samples, vel_cfg, acq,
+      picked_sources(acq.num_sources, std::min(t.nsrc, acq.num_sources)), rng);
+  const RawDataset cnn_raw =
+      generate_raw_dataset(config.cnn_train_samples, vel_cfg, acq, rng);
+
   const DSampleScaler dsample(t);
   const ForwardModelScaler qdfw(t);
   log_info("experiment data: training Q-D-CNN compressor");

@@ -18,10 +18,10 @@ nn::Tensor decimate_raw(const seismic::SeismicData& seismic,
                         std::size_t nsrc_target, std::size_t rows,
                         std::size_t cols, Real input_scale) {
   nn::Tensor x({1, nsrc_target, rows, cols});
+  const std::vector<std::size_t> picked =
+      picked_sources(seismic.nsrc(), nsrc_target);
   for (std::size_t s = 0; s < nsrc_target; ++s) {
-    const std::size_t src = nsrc_target == 1
-                                ? seismic.nsrc() / 2
-                                : s * (seismic.nsrc() - 1) / (nsrc_target - 1);
+    const std::size_t src = picked[s];
     for (std::size_t t = 0; t < rows; ++t) {
       const std::size_t tt = t * seismic.nt() / rows;
       for (std::size_t r = 0; r < cols; ++r) {

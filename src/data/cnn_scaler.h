@@ -16,8 +16,11 @@
 namespace qugeo::data {
 
 struct CnnScalerConfig {
-  /// Raw waveform is decimated to [channels=nsrc_in, time_rows, rec_cols]
-  /// before entering the CNN (keeps the FC layer a sane size).
+  /// The raw volume is decimated to [channels, time_rows, rec_cols] before
+  /// entering the CNN (keeps the FC layer a sane size). The channels are
+  /// the target's ScaleTarget::nsrc shots, picked from the raw volume by
+  /// picked_sources() (the middle shot at the default target), not the
+  /// raw volume's own sources.
   std::size_t input_time_rows = 64;
   std::size_t input_rec_cols = 16;
   std::size_t epochs = 150;

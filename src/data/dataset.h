@@ -1,11 +1,13 @@
 // Dataset containers for the FWI learning task.
 //
 // A raw sample pairs a 70x70 velocity map with its 5x1000x70 shot gathers
-// (the synthetic stand-in for OpenFWI FlatVel-A; see DESIGN.md). A scaled
-// sample is what actually reaches the quantum circuit: a 256-value waveform
-// plus an 8x8 velocity map normalized to [0, 1].
+// (the synthetic stand-in for OpenFWI FlatVel-A; see the substitution table
+// in docs/ARCHITECTURE.md). A scaled sample is what actually reaches the
+// quantum circuit: a 256-value waveform plus an 8x8 velocity map normalized
+// to [0, 1].
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,10 @@ inline constexpr Real kVelocityMax = 4500.0;
   return kVelocityMin + u * (kVelocityMax - kVelocityMin);
 }
 
+/// A velocity map and the shots modelled over it: every source of the
+/// dataset's acquisition, or only a listed subset of them (the corpus
+/// build keeps the shots its scalers read), in which case seismic.nsrc()
+/// is the list's length, not acquisition.num_sources.
 struct RawSample {
   seismic::VelocityModel velocity;
   seismic::SeismicData seismic;
@@ -49,6 +55,13 @@ struct RawDataset {
                                               const seismic::FlatVelConfig& vel_cfg,
                                               const seismic::Acquisition& acq,
                                               Rng& rng);
+
+/// The same draws, modelling only the listed sources of each map (see
+/// seismic::model_shots); the rng advances exactly as above.
+[[nodiscard]] RawDataset generate_raw_dataset(
+    std::size_t count, const seismic::FlatVelConfig& vel_cfg,
+    const seismic::Acquisition& acq, std::span<const std::size_t> sources,
+    Rng& rng);
 
 /// One quantum-scale training pair.
 struct ScaledSample {

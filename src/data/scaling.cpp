@@ -50,14 +50,25 @@ std::vector<Real> scale_velocity_map(const seismic::VelocityModel& velocity,
   return out;
 }
 
+std::vector<std::size_t> picked_sources(std::size_t nsrc,
+                                        std::size_t target_nsrc) {
+  if (nsrc == 0)
+    throw std::invalid_argument("picked_sources: the volume holds no shot");
+  if (target_nsrc == 1) return {nsrc / 2};
+  std::vector<std::size_t> picked(target_nsrc);
+  for (std::size_t s = 0; s < target_nsrc; ++s)
+    picked[s] = s * (nsrc - 1) / (target_nsrc - 1);
+  return picked;
+}
+
 std::vector<Real> nearest_neighbor_waveform(const seismic::SeismicData& seismic,
                                             const ScaleTarget& target) {
   std::vector<Real> out(target.nsrc * target.nt * target.nrec);
+  const std::vector<std::size_t> picked =
+      picked_sources(seismic.nsrc(), target.nsrc);
   for (std::size_t s = 0; s < target.nsrc; ++s) {
     // Midpoint nearest-neighbour pick along each axis.
-    const std::size_t src = target.nsrc == 1
-                                ? seismic.nsrc() / 2
-                                : s * (seismic.nsrc() - 1) / (target.nsrc - 1);
+    const std::size_t src = picked[s];
     for (std::size_t t = 0; t < target.nt; ++t) {
       const std::size_t tt =
           t * seismic.nt() / target.nt + seismic.nt() / (2 * target.nt);

@@ -93,6 +93,16 @@ class ForwardModelScaler final : public Scaler {
 [[nodiscard]] std::vector<Real> scale_velocity_map(
     const seismic::VelocityModel& velocity, std::size_t rows, std::size_t cols);
 
+/// The shots of an nsrc-shot volume that a target_nsrc-shot pick reads:
+/// the middle shot {nsrc / 2} when target_nsrc is 1, else
+/// s * (nsrc - 1) / (target_nsrc - 1) for each s (repeats when
+/// target_nsrc > nsrc). D-Sample and the Q-D-CNN input decimation both
+/// pick this way, and picking again from a picked volume reads every shot
+/// in order, so a volume holding only the picked shots scales exactly as
+/// the full one. Throws std::invalid_argument when nsrc is 0.
+[[nodiscard]] std::vector<std::size_t> picked_sources(std::size_t nsrc,
+                                                      std::size_t target_nsrc);
+
 /// Nearest-neighbour waveform resampling used by D-Sample (exposed for the
 /// Figure 6 visualization bench).
 [[nodiscard]] std::vector<Real> nearest_neighbor_waveform(

@@ -10,8 +10,11 @@
 // (model, shot) pair of its input as one pool fan-out, each shot's FDTD
 // sweep inline on its worker, each gather into its own slot, so the data
 // is bitwise the same for any QUGEO_THREADS value and any grouping of
-// models into calls. Invalid models and acquisitions throw
-// std::invalid_argument on the calling thread before any shot runs.
+// models or sources into calls. A call may run a list of the acquisition's
+// sources instead of all of them; a listed shot keeps the geometry of the
+// every-source call, so it is bitwise that call's shot. Invalid models,
+// acquisitions and source indices throw std::invalid_argument on the
+// calling thread before any shot runs.
 #pragma once
 
 #include <span>
@@ -50,6 +53,15 @@ struct Acquisition {
 /// element i equals model_shots(models[i], acq) bitwise.
 [[nodiscard]] std::vector<SeismicData> model_shots(
     std::span<const VelocityModel> models, const Acquisition& acq);
+
+/// Only the listed sources of every model, in one pool fan-out. Element i
+/// holds sources.size() shots in list order (repeats allowed), and shot k
+/// equals shot sources[k] of model_shots(models[i], acq) bitwise: the
+/// sources still sit where acq.num_sources of them would. An index
+/// >= acq.num_sources throws std::invalid_argument.
+[[nodiscard]] std::vector<SeismicData> model_shots(
+    std::span<const VelocityModel> models, const Acquisition& acq,
+    std::span<const std::size_t> sources);
 
 /// Q-D-FW in one call: downsample the velocity map to target_nz x target_nx
 /// and re-model at the quantum scale. Internally the coarse map is refined

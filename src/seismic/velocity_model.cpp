@@ -15,14 +15,6 @@ VelocityModel::VelocityModel(Grid2D grid, std::vector<Real> velocity)
 VelocityModel::VelocityModel(Grid2D grid, Real velocity)
     : grid_(grid), c_(grid.nz * grid.nx, velocity) {}
 
-Real VelocityModel::min_velocity() const {
-  return *std::min_element(c_.begin(), c_.end());
-}
-
-Real VelocityModel::max_velocity() const {
-  return *std::max_element(c_.begin(), c_.end());
-}
-
 VelocityModel VelocityModel::resampled(std::size_t new_nz,
                                        std::size_t new_nx) const {
   Grid2D g;

@@ -3,8 +3,8 @@
 // OpenFWI's FlatVel-A family is machine-generated: 70x70 maps of flat rock
 // layers with per-layer velocities in [1.5, 4.5] km/s. Because the dataset
 // itself is synthetic, regenerating it from the same specification (layered
-// media + the acoustic wave equation) is a faithful substitute; see
-// DESIGN.md's substitution table.
+// media + the acoustic wave equation) is a faithful substitute; see the
+// substitution table in docs/ARCHITECTURE.md.
 #pragma once
 
 #include <span>
@@ -41,9 +41,6 @@ class VelocityModel {
     return c_[iz * grid_.nx + ix];
   }
   Real& at(std::size_t iz, std::size_t ix) { return c_[iz * grid_.nx + ix]; }
-
-  [[nodiscard]] Real min_velocity() const;
-  [[nodiscard]] Real max_velocity() const;
 
   /// Nearest-neighbour resample to a new grid size (keeps physical extent).
   [[nodiscard]] VelocityModel resampled(std::size_t new_nz, std::size_t new_nx) const;

@@ -213,6 +213,58 @@ TEST_F(IoTest, InjectedWriteFaultLeavesNoDestination) {
   EXPECT_FALSE(std::filesystem::exists(dir_ / "never.bin"));
 }
 
+/// A framed tensor body (magic, u64 rank, u64 dims, float64 payload)
+/// declaring `dims` over `values`, under a valid frame and CRC.
+void write_tensor_body(const std::filesystem::path& path,
+                       const std::vector<std::uint64_t>& dims,
+                       const std::vector<Real>& values) {
+  std::vector<unsigned char> body = {'Q', 'G', 'T', '1'};
+  const auto put = [&](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    body.insert(body.end(), b, b + n);
+  };
+  const std::uint64_t rank = dims.size();
+  put(&rank, sizeof(rank));
+  put(dims.data(), dims.size() * sizeof(std::uint64_t));
+  put(values.data(), values.size() * sizeof(Real));
+  write_framed_file(path, 1, body);
+}
+
+/// load_tensor must throw std::runtime_error naming the path, never
+/// std::bad_alloc or a tensor whose shape disagrees with its data.
+void expect_rejected(const std::filesystem::path& path) {
+  try {
+    const LoadedTensor t = load_tensor(path);
+    ADD_FAILURE() << path << " loaded " << t.data.size() << " values";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path.string()), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(IoTest, TensorDeclaringMoreValuesThanItHoldsIsRejected) {
+  // 2^40 values (8 TB) declared, none present: no allocation is attempted.
+  write_tensor_body(dir_ / "huge.qgt", {std::uint64_t{1} << 40}, {});
+  expect_rejected(dir_ / "huge.qgt");
+  // One value short, and one value over.
+  write_tensor_body(dir_ / "short.qgt", {2, 2}, {1, 2, 3});
+  expect_rejected(dir_ / "short.qgt");
+  write_tensor_body(dir_ / "long.qgt", {2, 2}, {1, 2, 3, 4, 5});
+  expect_rejected(dir_ / "long.qgt");
+}
+
+TEST_F(IoTest, TensorWhoseDimsOverflowIsRejected) {
+  // (2^62 + 1) * 4 wraps to 4 in 64 bits, which the 4 values would match.
+  write_tensor_body(dir_ / "wrap.qgt", {(std::uint64_t{1} << 62) + 1, 4},
+                    {1, 2, 3, 4});
+  expect_rejected(dir_ / "wrap.qgt");
+  // save_tensor refuses to write the same shape.
+  const std::vector<Real> data = {1, 2, 3, 4};
+  const std::vector<std::size_t> shape = {(std::size_t{1} << 62) + 1, 4};
+  EXPECT_THROW(save_tensor(dir_ / "wrap_save.qgt", data, shape),
+               std::invalid_argument);
+}
+
 TEST_F(IoTest, TensorsAreFramedAndCorruptionIsDetected) {
   const std::vector<Real> data = {1.5, -2.0, 3.25};
   const std::vector<std::size_t> shape = {3};

@@ -1,9 +1,13 @@
 // Scaled-dataset serialization round trip and env-driven configuration.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <string>
+#include <vector>
 
+#include "common/io.h"
 #include "data/cache.h"
 
 namespace qugeo::data {
@@ -43,6 +47,33 @@ TEST_F(CacheTest, SaveLoadRoundTrip) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(back.samples[i].waveform, ds.samples[i].waveform);
     EXPECT_EQ(back.samples[i].velocity, ds.samples[i].velocity);
+  }
+}
+
+TEST_F(CacheTest, WaveShapeThatOverflowsIsRejected) {
+  // A wave tensor {1, 2^62 + 1, 2, 2} over 4 values: the dims multiply to
+  // 2^64 + 4, which wraps to 4 in 64 bits.
+  std::vector<unsigned char> body = {'Q', 'G', 'T', '1'};
+  const auto put = [&](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    body.insert(body.end(), b, b + n);
+  };
+  const std::uint64_t dims[] = {4, 1, (std::uint64_t{1} << 62) + 1, 2, 2};
+  put(dims, sizeof(dims));  // rank 4, then the four dims
+  const Real values[] = {1, 2, 3, 4};
+  put(values, sizeof(values));
+  write_framed_file(dir_ / "ds.wave.qgt", 1, body);
+  const std::vector<Real> vel(64, 0.5);
+  const std::size_t vshape[] = {1, 8, 8};
+  save_tensor(dir_ / "ds.vel.qgt", vel, vshape);
+
+  try {
+    const ScaledDataset ds = load_scaled_dataset(dir_ / "ds");
+    ADD_FAILURE() << "loaded nsrc " << ds.nsrc << ", waveform_size "
+                  << ds.waveform_size();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ds.wave.qgt"), std::string::npos)
+        << e.what();
   }
 }
 

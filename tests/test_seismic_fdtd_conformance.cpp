@@ -6,14 +6,23 @@
 // and grid shapes down to grids smaller than the stencil halo, at both
 // SIMD levels. Also pins the corpus fan-outs: generate_raw_dataset's flat
 // shot fan-out against per-model model_shots, and the pooled Q-D-FW
-// dataset against serial scale(), at 1 and 4 threads.
+// dataset against serial scale(), at 1 and 4 threads. And the cut corpus:
+// model_shots over a source list against the every-source call, the
+// picked_sources formula, and load_or_build_experiment_data, which models
+// only the picked shots of its corpus maps, against a test-local copy of
+// the build that modelled every shot (datasets and cache files bitwise).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -22,6 +31,7 @@
 
 #include "common/cpu_features.h"
 #include "common/parallel.h"
+#include "data/cache.h"
 #include "data/dataset.h"
 #include "data/scaling.h"
 #include "seismic/fdtd.h"
@@ -393,6 +403,188 @@ TEST(FdtdConformance, PooledQdfwDatasetEqualsSerialScale) {
           << "threads " << threads << " sample " << i;
       EXPECT_TRUE(bitwise_equal(pooled.samples[i].velocity, serial[i].velocity))
           << "threads " << threads << " sample " << i;
+    }
+  }
+  set_num_threads(0);
+}
+
+TEST(FdtdConformance, ListedSourcesEqualTheEverySourceShots) {
+  Acquisition acq = small_acquisition();
+  acq.num_sources = 5;
+  Rng rng(47);
+  std::vector<VelocityModel> models;
+  for (int i = 0; i < 2; ++i)
+    models.push_back(generate_flatvel(small_flatvel(), rng));
+  const std::vector<SeismicData> every = model_shots(models, acq);
+
+  // Out of order, with a repeat: shot k is shot list[k] of the full call.
+  const std::vector<std::size_t> list = {4, 0, 2, 2};
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_num_threads(threads);
+    const std::vector<SeismicData> got = model_shots(models, acq, list);
+    ASSERT_EQ(got.size(), models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      ASSERT_EQ(got[m].nsrc(), list.size());
+      EXPECT_EQ(got[m].nt(), every[m].nt());
+      EXPECT_EQ(got[m].nrec(), every[m].nrec());
+      for (std::size_t k = 0; k < list.size(); ++k)
+        EXPECT_TRUE(bitwise_equal(got[m].shot_span(k),
+                                  every[m].shot_span(list[k])))
+            << "threads " << threads << " model " << m << " entry " << k;
+    }
+  }
+  set_num_threads(0);
+  // A one-source acquisition is not the middle shot of five: a lone source
+  // sits at nx / 2, the middle of five at 2 * (nx - 1) / 4.
+  Acquisition lone = acq;
+  lone.num_sources = 1;
+  EXPECT_FALSE(bitwise_equal(model_shots(models[0], lone).data(),
+                             every[0].shot_span(2)));
+  // An empty list models nothing.
+  const std::vector<SeismicData> none =
+      model_shots(models, acq, std::span<const std::size_t>{});
+  ASSERT_EQ(none.size(), models.size());
+  EXPECT_EQ(none[0].nsrc(), 0u);
+}
+
+TEST(FdtdConformance, OutOfRangeSourceThrowsBeforeAnyShotRuns) {
+  // Grid spacing of 0.1 mm puts tens of millions of steps in one shot, so
+  // a check made after (or beside) the valid shots would take minutes.
+  const VelocityModel slow(Grid2D{8, 8, 1e-4, 1e-4}, 4500.0);
+  Acquisition acq = small_acquisition();
+  acq.num_sources = 5;
+  acq.num_time_samples = 4;
+  const std::vector<VelocityModel> models = {slow};
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_num_threads(threads);
+    for (const std::vector<std::size_t>& list :
+         {std::vector<std::size_t>{0, 1, 5}, std::vector<std::size_t>{99}}) {
+      const auto t0 = std::chrono::steady_clock::now();
+      EXPECT_THROW((void)model_shots(models, acq, list), std::invalid_argument);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - t0;
+      EXPECT_LT(took.count(), 5.0) << "threads " << threads;
+    }
+  }
+  set_num_threads(0);
+}
+
+TEST(FdtdConformance, PickedSourcesPins) {
+  using V = std::vector<std::size_t>;
+  EXPECT_EQ(data::picked_sources(5, 1), (V{2}));
+  EXPECT_EQ(data::picked_sources(5, 3), (V{0, 2, 4}));
+  EXPECT_EQ(data::picked_sources(5, 5), (V{0, 1, 2, 3, 4}));
+  EXPECT_EQ(data::picked_sources(5, 8), (V{0, 0, 1, 1, 2, 2, 3, 4}));
+  EXPECT_EQ(data::picked_sources(2, 1), (V{1}));
+  // Picking again from a volume of the picked shots reads them in order.
+  for (std::size_t k = 1; k <= 8; ++k) {
+    V in_order(k);
+    std::iota(in_order.begin(), in_order.end(), std::size_t{0});
+    EXPECT_EQ(data::picked_sources(data::picked_sources(5, k).size(), k),
+              in_order)
+        << "k " << k;
+  }
+  EXPECT_THROW((void)data::picked_sources(0, 1), std::invalid_argument);
+}
+
+/// The corpus build as it was before it cut the unread shots: every shot
+/// of every map in one generate_raw_dataset call (corpus maps first), then
+/// the three scalers.
+data::ExperimentData every_shot_build(
+    const data::ExperimentDataConfig& config) {
+  Rng rng(config.seed);
+  const Acquisition acq = openfwi_acquisition();
+  data::RawDataset raw = data::generate_raw_dataset(
+      config.num_samples + config.cnn_train_samples, FlatVelConfig{}, acq, rng);
+  data::RawDataset cnn_raw;
+  cnn_raw.velocity_config = raw.velocity_config;
+  cnn_raw.acquisition = acq;
+  cnn_raw.samples.assign(
+      std::make_move_iterator(raw.samples.begin() +
+                              static_cast<std::ptrdiff_t>(config.num_samples)),
+      std::make_move_iterator(raw.samples.end()));
+  raw.samples.resize(config.num_samples);
+
+  const data::ScaleTarget& t = config.target;
+  Rng cnn_rng = rng.split();
+  const data::CnnScaler qdcnn =
+      data::train_cnn_scaler(cnn_raw, t, config.cnn, cnn_rng);
+  data::ExperimentData out;
+  out.train_count = config.train_count;
+  out.dsample = data::DSampleScaler(t).scale_dataset(raw, t);
+  out.qdfw = data::ForwardModelScaler(t).scale_dataset(raw, t);
+  out.qdcnn = qdcnn.scale_dataset(raw, t);
+  return out;
+}
+
+void expect_same_dataset(const data::ScaledDataset& got,
+                         const data::ScaledDataset& want,
+                         const std::string& where) {
+  EXPECT_EQ(got.scaler_name, want.scaler_name) << where;
+  EXPECT_EQ(got.waveform_size(), want.waveform_size()) << where;
+  EXPECT_EQ(got.velocity_size(), want.velocity_size()) << where;
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const data::ScaledSample& g = got.samples[i];
+    const data::ScaledSample& w = want.samples[i];
+    const std::string at = where + " sample " + std::to_string(i);
+    EXPECT_TRUE(bitwise_equal(g.waveform, w.waveform)) << at;
+    EXPECT_TRUE(bitwise_equal(g.velocity, w.velocity)) << at;
+  }
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(FdtdConformance, CutCorpusBuildEqualsEveryShotBuild) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() / "qugeo_cut_corpus_test";
+  fs::remove_all(root);
+  for (std::size_t nsrc : {std::size_t{1}, std::size_t{3}}) {
+    data::ExperimentDataConfig config;
+    config.num_samples = 3;
+    config.train_count = 2;
+    config.cnn_train_samples = 1;
+    config.seed = 77;
+    config.target.nsrc = nsrc;
+    config.cnn.epochs = 2;
+    set_num_threads(1);
+    const data::ExperimentData want = every_shot_build(config);
+
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      set_num_threads(threads);
+      const std::string where =
+          "target nsrc " + std::to_string(nsrc) + " threads " +
+          std::to_string(threads);
+      config.cache_dir = root / ("built_" + std::to_string(threads));
+      const data::ExperimentData got =
+          data::load_or_build_experiment_data(config);
+      EXPECT_EQ(got.train_count, want.train_count) << where;
+      expect_same_dataset(got.dsample, want.dsample, where + " D-Sample");
+      expect_same_dataset(got.qdfw, want.qdfw, where + " Q-D-FW");
+      expect_same_dataset(got.qdcnn, want.qdcnn, where + " Q-D-CNN");
+
+      // The six cache files, byte for byte against the reference's.
+      const fs::path ref_dir = root / "reference";
+      fs::create_directories(ref_dir);
+      std::size_t compared = 0;
+      for (const auto& entry : fs::directory_iterator(config.cache_dir)) {
+        const std::string name = entry.path().filename().string();
+        // <base>.wave.qgt or <base>.vel.qgt
+        const std::string base = entry.path().stem().stem().string();
+        const data::ScaledDataset& ds =
+            base.ends_with("_dsample") ? want.dsample
+            : base.ends_with("_qdfw")  ? want.qdfw
+                                       : want.qdcnn;
+        data::save_scaled_dataset(ref_dir / base, ds);
+        EXPECT_EQ(file_bytes(entry.path()), file_bytes(ref_dir / name))
+            << where << " " << name;
+        ++compared;
+      }
+      EXPECT_EQ(compared, 6u) << where;
+      fs::remove_all(root);
     }
   }
   set_num_threads(0);

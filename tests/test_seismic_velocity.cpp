@@ -2,6 +2,7 @@
 // CurveVel extension, and profile extraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "seismic/velocity_model.h"
@@ -13,8 +14,9 @@ TEST(VelocityModel, ConstantConstructor) {
   const VelocityModel m(Grid2D{10, 12, 10, 10}, 2000.0);
   EXPECT_EQ(m.nz(), 10u);
   EXPECT_EQ(m.nx(), 12u);
-  EXPECT_EQ(m.min_velocity(), 2000.0);
-  EXPECT_EQ(m.max_velocity(), 2000.0);
+  const auto [lo, hi] = std::ranges::minmax(m.data());
+  EXPECT_EQ(lo, 2000.0);
+  EXPECT_EQ(hi, 2000.0);
 }
 
 TEST(VelocityModel, SizeValidation) {
@@ -41,8 +43,9 @@ TEST_P(FlatVelTest, LayersAreHorizontalAndInRange) {
   const VelocityModel m = generate_flatvel(cfg, rng);
   EXPECT_EQ(m.nz(), 70u);
   EXPECT_EQ(m.nx(), 70u);
-  EXPECT_GE(m.min_velocity(), cfg.vmin);
-  EXPECT_LE(m.max_velocity(), cfg.vmax);
+  const auto [lo, hi] = std::ranges::minmax(m.data());
+  EXPECT_GE(lo, cfg.vmin);
+  EXPECT_LE(hi, cfg.vmax);
   // Every row must be constant (flat layers).
   for (std::size_t iz = 0; iz < m.nz(); ++iz)
     for (std::size_t ix = 1; ix < m.nx(); ++ix)
@@ -110,8 +113,9 @@ TEST(CurveVel, VelocitiesInRange) {
   Rng rng(10);
   const CurveVelConfig cfg;
   const VelocityModel m = generate_curvevel(cfg, rng);
-  EXPECT_GE(m.min_velocity(), cfg.base.vmin);
-  EXPECT_LE(m.max_velocity(), cfg.base.vmax);
+  const auto [lo, hi] = std::ranges::minmax(m.data());
+  EXPECT_GE(lo, cfg.base.vmin);
+  EXPECT_LE(hi, cfg.base.vmax);
 }
 
 TEST(VerticalProfile, ExtractsColumn) {
