@@ -6,8 +6,10 @@
 // benchmark run, main() times the paper's 8-qubit, 12-block ansatz forward
 // (run_circuit) and its adjoint sweep (adjoint_backward) under scalar and
 // AVX2 dispatch, and exits non-zero on AVX2 hardware unless each runs
-// >= 1.5x faster under AVX2. On machines without AVX2+FMA the guard prints
-// a skip notice and passes.
+// >= 1.5x faster under AVX2. It then times a 3-epoch INet-ref training over
+// 8 samples (the nn GEMM tiles) at both levels and fails unless AVX2 runs
+// it >= 1.4x faster with the same final MSE. On machines without AVX2+FMA
+// the guard prints a skip notice and passes.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
@@ -17,6 +19,7 @@
 #include "common/cpu_features.h"
 #include "common/rng.h"
 #include "core/ansatz.h"
+#include "core/classical_baseline.h"
 #include "qsim/executor.h"
 #include "qsim/gate.h"
 #include "qsim/observables.h"
@@ -122,10 +125,70 @@ int simd_speedup_guard() {
   return 0;
 }
 
+/// CI perf gate for the nn GEMM tiles, on Table 2's INet-ref row: a
+/// 3-epoch training over 8 samples (2 held out for the per-epoch eval)
+/// must run >= 1.4x faster under AVX2 than scalar, and reach the same
+/// final MSE bit for bit.
+int inet_speedup_guard() {
+  if (!simd::cpu_supports_avx2()) return 0;  // simd_speedup_guard said why
+  Rng data_rng(25);
+  data::ScaledDataset ds;
+  ds.samples.resize(10);
+  for (auto& s : ds.samples) {
+    s.waveform.resize(ds.waveform_size());
+    data_rng.fill_uniform(s.waveform, -1, 1);
+    s.velocity.resize(ds.velocity_size());
+    data_rng.fill_uniform(s.velocity, 0, 1);
+  }
+  const data::SplitView split = data::split_dataset(10, 8);
+  core::TrainConfig tc;
+  tc.epochs = 3;
+  tc.initial_lr = 0.003;
+  Real final_mse = 0;
+  const auto train = [&] {
+    Rng rng(26);
+    core::ClassicalConfig cfg;
+    cfg.inversion_net_reference = true;
+    core::ClassicalFwiNet net(cfg, rng);
+    final_mse = net.train(ds, split, tc).final_mse;
+  };
+
+  constexpr int kIters = 3;
+  constexpr double kRequired = 1.4;
+  struct Level {
+    double ms;
+    Real final_mse;
+  };
+  const auto time_at = [&](simd::SimdMode mode) {
+    const simd::ScopedSimdMode scoped(mode);
+    train();  // warm caches/pages before measuring
+    return Level{bench::best_of_ms(kIters, train), final_mse};
+  };
+  const Level scalar = time_at(simd::SimdMode::kScalar);
+  const Level avx2 = time_at(simd::SimdMode::kAvx2);
+  const double speedup = scalar.ms / avx2.ms;
+  std::printf(
+      "simd guard: INet-ref, %d x 3-epoch training over 8 samples scalar %.3f "
+      "ms, avx2 %.3f ms (%.2fx; need >= %.2fx); final MSE scalar %.17g, "
+      "avx2 %.17g\n",
+      kIters, scalar.ms, avx2.ms, speedup, kRequired, scalar.final_mse,
+      avx2.final_mse);
+  if (speedup < kRequired || scalar.final_mse != avx2.final_mse) {
+    std::fprintf(stderr,
+                 "simd guard FAILED: INet-ref training %.2fx (need >= %.2fx), "
+                 "final MSE %s across levels\n",
+                 speedup, kRequired,
+                 scalar.final_mse == avx2.final_mse ? "equal" : "differs");
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const int rc = qugeo::bench::run_micro_benchmarks(argc, argv);
   if (rc != 0) return rc;
-  return simd_speedup_guard();
+  const int qsim_rc = simd_speedup_guard();
+  return inet_speedup_guard() != 0 ? 1 : qsim_rc;
 }

@@ -1,10 +1,11 @@
 // Runtime CPU-feature detection and the process-wide SIMD dispatch mode.
 //
-// The statevector and FDTD hot kernels exist in two variants: the portable
-// scalar code (the reference semantics every test pins) and AVX2/FMA
+// The statevector, FDTD and nn GEMM hot kernels exist in two variants: the
+// portable scalar code (the reference semantics every test pins) and AVX2
 // intrinsic versions compiled into dedicated -mavx2 translation units
-// (qsim/kernels_avx2.cpp, seismic/fdtd_avx2.cpp). Which variant runs is a
-// pure runtime decision made per kernel call through active_level():
+// (qsim/kernels_avx2.cpp, seismic/fdtd_avx2.cpp, nn/gemm_avx2.cpp). Which
+// variant runs is a pure runtime decision made per kernel call through
+// active_level():
 //
 //   QUGEO_SIMD                           (mode: auto | avx2 | scalar)
 //          |
@@ -17,7 +18,8 @@
 // The scalar level reproduces the pre-SIMD forward-kernel results
 // bit-exactly (the scalar kernel bodies are untouched); the AVX2 level
 // matches scalar to <= 1e-12 per amplitude (FMA contraction is the only
-// difference), pinned by test_qsim_kernels.
+// difference), pinned by test_qsim_kernels. The nn GEMM tiles use no FMA
+// and match their scalar loops bitwise (test_nn_gemm_conformance).
 #pragma once
 
 #include <cstdint>

@@ -21,22 +21,21 @@ namespace {
 /// parallel_for calls detect it and run inline.
 thread_local bool tl_in_pool_worker = false;
 
-/// One fan-out: a copied chunk body plus atomic work-stealing cursors.
-/// Held by shared_ptr so a worker that wakes late (after the submitting
-/// call returned) still dereferences live memory and simply finds no
-/// chunks left to claim.
+/// One fan-out: the submitter's iteration body plus atomic work-stealing
+/// cursors. Held by shared_ptr so a worker that wakes late (after the
+/// submitting call returned) still dereferences live memory and simply
+/// finds no iterations left to claim; only a claimed iteration calls
+/// `body`, and the submitter waits for every claimed one.
 struct Task {
-  std::function<void(std::size_t, std::size_t)> body;
+  const std::function<void(std::size_t)>* body = nullptr;
   // The submitter's ScopedSimdMode override, installed on every thread
-  // while it runs this task's chunks.
+  // while it runs this task's iterations.
   std::optional<simd::SimdLevel> simd_override;
   std::size_t begin = 0;
-  std::size_t end = 0;
-  std::size_t chunk = 1;
-  std::size_t num_chunks = 0;
+  std::size_t count = 0;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
-  // First exception thrown by a chunk body: remaining chunks are drained
+  // First exception thrown by an iteration: the remaining ones are drained
   // without running, and the submitting thread rethrows after the fan-out
   // has fully quiesced (so no worker still references caller state).
   std::atomic<bool> failed{false};
@@ -66,7 +65,7 @@ class Pool {
   }
 
   void run(std::size_t begin, std::size_t end,
-           const std::function<void(std::size_t, std::size_t)>& body)
+           const std::function<void(std::size_t)>& body)
       QUGEO_EXCLUDES(config_mutex_, mutex_) {
     const std::size_t n = end - begin;
     std::size_t threads;
@@ -77,21 +76,19 @@ class Pool {
     // Inline when there is nothing to fan out to, when the range is a
     // single iteration, or when already inside a worker.
     if (tl_in_pool_worker || threads <= 1 || n <= 1) {
-      if (n != 0) body(begin, end);
+      for (std::size_t i = begin; i < end; ++i) body(i);
       return;
     }
 
+    // Threads claim one iteration at a time: every caller's iteration (a
+    // shot, a sample's scaling, a QuBatch chunk, a trajectory slot) costs
+    // microseconds or more, so the claim is cheap next to it, and no
+    // thread waits behind a partner iteration while another idles.
     auto task = std::make_shared<Task>();
-    task->body = body;
+    task->body = &body;
     task->simd_override = simd::thread_override();
     task->begin = begin;
-    task->end = end;
-    // At most 4 chunks per thread keeps scheduling slack without letting
-    // per-chunk dispatch dominate cheap iterations.
-    const std::size_t max_chunks = threads * 4;
-    const std::size_t chunk = (n + max_chunks - 1) / max_chunks;
-    task->chunk = chunk;
-    task->num_chunks = (n + chunk - 1) / chunk;
+    task->count = n;
 
     {
       MutexLock lk(mutex_);
@@ -104,7 +101,7 @@ class Pool {
 
     {
       MutexLock lk(mutex_);
-      while (task->done.load(std::memory_order_acquire) != task->num_chunks)
+      while (task->done.load(std::memory_order_acquire) != task->count)
         done_.wait(mutex_);
     }
     if (task->failed.load(std::memory_order_acquire)) {
@@ -149,17 +146,14 @@ class Pool {
     std::size_t finished = 0;
     const simd::ScopedSimdMode simd_mode(task.simd_override);
     for (;;) {
-      const std::size_t c = task.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= task.num_chunks) break;
-      // After a failure, claimed chunks are drained (counted but not run)
-      // so the submitting thread's completion wait stays bounded.
+      const std::size_t i = task.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= task.count) break;
+      // After a failure, claimed iterations are drained (counted but not
+      // run) so the submitting thread's completion wait stays bounded.
       if (!task.failed.load(std::memory_order_acquire)) {
-        const std::size_t lo = task.begin + c * task.chunk;
-        std::size_t hi = lo + task.chunk;
-        if (hi > task.end) hi = task.end;
         try {
           fault::site("pool.task");
-          task.body(lo, hi);
+          (*task.body)(task.begin + i);
         } catch (...) {
           MutexLock elk(task.error_mutex);
           if (!task.error) task.error = std::current_exception();
@@ -172,7 +166,7 @@ class Pool {
     if (finished == 0) return;
     const std::size_t done =
         task.done.fetch_add(finished, std::memory_order_acq_rel) + finished;
-    if (done == task.num_chunks) {
+    if (done == task.count) {
       // Empty critical section orders the notify after the waiter's
       // predicate check.
       { MutexLock lk(mutex_); }
@@ -239,9 +233,7 @@ void set_num_threads(std::size_t n) { Pool::instance().resize(n); }
 
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body) {
-  Pool::instance().run(begin, end, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) body(i);
-  });
+  Pool::instance().run(begin, end, body);
 }
 
 }  // namespace qugeo

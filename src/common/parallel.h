@@ -10,10 +10,12 @@
 //    disjoint state, and every reduction offered here runs in fixed index
 //    order on the calling thread. Results are bit-identical for any thread
 //    count (see test_common_parallel.cpp).
+//  - Threads claim one iteration at a time; every caller's iteration is
+//    coarse (a shot, a sample, a QuBatch chunk, a trajectory slot).
 //  - Nested parallel_for calls run inline on the calling worker (no
 //    deadlock, no oversubscription).
 //  - A submitter's simd::ScopedSimdMode override (common/cpu_features.h)
-//    holds on every thread while it runs a chunk of that fan-out.
+//    holds on every thread while it runs an iteration of that fan-out.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +37,7 @@ void set_num_threads(std::size_t n);
 /// Run body(i) for every i in [begin, end), fanned out across the pool.
 /// Blocks until every iteration has finished. Iterations must write
 /// disjoint state; under that contract the result is independent of the
-/// thread count and chunk schedule.
+/// thread count and schedule.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 

@@ -97,6 +97,13 @@ std::vector<Real> ClassicalFwiNet::head_to_map(const nn::Tensor& out) const {
   return map;
 }
 
+std::vector<Real> ClassicalFwiNet::parameters() const {
+  std::vector<Real> out;
+  for (const nn::Param* p : net_->params())
+    out.insert(out.end(), p->value.data().begin(), p->value.data().end());
+  return out;
+}
+
 std::vector<std::vector<Real>> ClassicalFwiNet::predict(
     std::span<const data::ScaledSample* const> samples) const {
   std::vector<std::vector<Real>> out;

@@ -30,6 +30,8 @@ class ClassicalFwiNet {
   ClassicalFwiNet(const ClassicalConfig& config, Rng& rng);
 
   [[nodiscard]] std::size_t param_count() const { return net_->param_count(); }
+  /// Every trainable value, layer by layer (each layer's weights, then bias).
+  [[nodiscard]] std::vector<Real> parameters() const;
   [[nodiscard]] const ClassicalConfig& config() const noexcept { return config_; }
 
   /// Predict velocity maps (rows*cols each) for the given samples.

@@ -3,24 +3,36 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
+
+#include "common/cpu_features.h"
+#include "nn/gemm_simd.h"
 
 namespace qugeo::nn {
 namespace {
 
 // Row-major GEMM in the three forms the layers need, accumulating into C.
-// Plain loops with a unit-stride innermost loop, so GCC vectorises them at
+// At simd::active_level() kAvx2 each form runs its register-tiled twin in
+// gemm_avx2.cpp, bitwise equal to the plain loops below (nn/gemm_simd.h).
+// The loops keep a unit-stride innermost loop, so GCC vectorises them at
 // the baseline x86-64 target (at -O3; -O2's cheap cost model leaves the
 // A*B and A^T*B rows scalar); the summation order is fixed by the shapes
 // alone.
+
+bool use_avx2() noexcept {
+  return simd::active_level() == simd::SimdLevel::kAvx2;
+}
 
 /// C[m x n] += A[m x k] * B[k x n]; each C element adds its products in
 /// ascending p.
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k,
              const Real* __restrict a, const Real* __restrict b,
              Real* __restrict c) {
+  if (use_avx2()) {
+    gemm_nn_avx2(m, n, k, a, b, c);
+    return;
+  }
   for (std::size_t i = 0; i < m; ++i) {
     Real* ci = c + i * n;
     for (std::size_t p = 0; p < k; ++p) {
@@ -36,6 +48,10 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k,
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k,
              const Real* __restrict a, const Real* __restrict b,
              Real* __restrict c) {
+  if (use_avx2()) {
+    gemm_tn_avx2(m, n, k, a, b, c);
+    return;
+  }
   for (std::size_t i = 0; i < m; ++i) {
     Real* ci = c + i * n;
     for (std::size_t p = 0; p < k; ++p) {
@@ -53,6 +69,10 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k,
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k,
              const Real* __restrict a, const Real* __restrict b,
              Real* __restrict c) {
+  if (use_avx2()) {
+    gemm_nt_avx2(m, n, k, a, b, c);
+    return;
+  }
   constexpr std::size_t kLanes = 8;
   for (std::size_t i = 0; i < m; ++i) {
     const Real* ai = a + i * k;
@@ -272,8 +292,9 @@ Tensor Linear::backward(const Tensor& grad_out) {
 Tensor ReLU::forward(const Tensor& x) {
   input_ = x;
   Tensor y = x;
-  for (auto& v : y.data_mut())
-    if (v < 0) v = 0;
+  // Selects, not branches, so the loops vectorise; NaN and -0.0 pass
+  // through unchanged.
+  for (auto& v : y.data_mut()) v = v < 0 ? 0 : v;
   return y;
 }
 
@@ -282,8 +303,7 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   Tensor grad_in = grad_out;
   auto gi = grad_in.data_mut();
   const auto xi = input_.data();
-  for (std::size_t k = 0; k < gi.size(); ++k)
-    if (xi[k] <= 0) gi[k] = 0;
+  for (std::size_t k = 0; k < gi.size(); ++k) gi[k] = xi[k] <= 0 ? 0 : gi[k];
   return grad_in;
 }
 
@@ -325,13 +345,17 @@ Tensor MaxPool2d::forward(const Tensor& x) {
     for (std::size_t ch = 0; ch < c; ++ch)
       for (std::size_t i = 0; i < oh; ++i)
         for (std::size_t j = 0; j < ow; ++j, ++out_idx) {
-          Real best = -std::numeric_limits<Real>::infinity();
-          std::size_t best_flat = 0;
+          // Seeded from the window's own first element, so an all -inf
+          // window routes its gradient inside itself; the first NaN in a
+          // window wins and reaches the output.
+          std::size_t best_flat =
+              ((b * c + ch) * h + i * kernel_) * w + j * kernel_;
+          Real best = x[best_flat];
           for (std::size_t ki = 0; ki < kernel_; ++ki)
             for (std::size_t kj = 0; kj < kernel_; ++kj) {
               const std::size_t ih = i * kernel_ + ki, iw = j * kernel_ + kj;
               const Real v = x.at4(b, ch, ih, iw);
-              if (v > best) {
+              if (v > best || (std::isnan(v) && !std::isnan(best))) {
                 best = v;
                 best_flat = ((b * c + ch) * h + ih) * w + iw;
               }

@@ -1,7 +1,9 @@
 // Layers with explicit forward/backward passes (reverse-mode autodiff by
-// hand). Conv2d and Linear run on one row-major GEMM (Conv2d through
-// im2col); it is single-threaded and plain C++, so a network's outputs do
-// not depend on QUGEO_THREADS or QUGEO_SIMD.
+// hand). Conv2d and Linear run on one single-threaded row-major GEMM
+// (Conv2d through im2col). It dispatches on simd::active_level() like the
+// qsim kernels: AVX2 register tiles (nn/gemm_simd.h) that are bitwise equal
+// to the plain loops, so a network's outputs do not depend on
+// QUGEO_THREADS or QUGEO_SIMD.
 #pragma once
 
 #include <memory>
@@ -98,7 +100,9 @@ class Sigmoid final : public Layer {
   Tensor output_;
 };
 
-/// Max pooling over [N, C, H, W] with square window and equal stride.
+/// Max pooling over [N, C, H, W] with square window and equal stride. The
+/// first maximum of a window wins its gradient; a NaN in a window is its
+/// output (the first NaN wins).
 class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::size_t kernel);

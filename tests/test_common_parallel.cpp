@@ -7,8 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -84,6 +86,29 @@ TEST(Parallel, NestedCallsRunInline) {
   for (std::size_t i = 0; i < hits.size(); ++i)
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   set_num_threads(0);
+}
+
+TEST(Parallel, ThreadsClaimOneIterationAtATime) {
+  // 20 iterations on 4 threads: iterations 0-3 must run at once on four
+  // threads, so they meet at a 4-party rendezvous. A thread that claimed
+  // two iterations together would hold one of them back behind the other,
+  // and the wait would time out with fewer than four arrived.
+  set_num_threads(4);
+  std::mutex m;
+  std::condition_variable cv;
+  int arrived = 0;
+  std::vector<int> met(4, 0);
+  parallel_for(0, 20, [&](std::size_t i) {
+    if (i >= 4) return;
+    std::unique_lock lk(m);
+    ++arrived;
+    cv.notify_all();
+    met[i] = cv.wait_for(lk, std::chrono::seconds(5),
+                         [&] { return arrived == 4; });
+  });
+  set_num_threads(0);
+  EXPECT_EQ(arrived, 4);
+  EXPECT_EQ(met, (std::vector<int>{1, 1, 1, 1}));
 }
 
 TEST(Parallel, ExceptionsPropagateAndPoolSurvives) {

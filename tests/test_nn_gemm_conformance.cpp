@@ -5,15 +5,28 @@
 // <= 1e-12, on every Conv2d/Linear shape the CNN baselines
 // (core/classical_baseline.cpp) and the Q-D-CNN scaler (data/cnn_scaler.cpp)
 // build, at batch sizes 1 and 2.
+//
+// The GEMM's AVX2 tiles (nn/gemm_simd.h) must equal its plain loops
+// bitwise: the kernels against a test-local copy of the loops on shapes
+// that reach every tile tail, the layers on every network shape at both
+// QUGEO_SIMD levels, and a short INet-ref training. This file builds with
+// -ffp-contract=off (tests/CMakeLists.txt), as qugeo_nn does, so its copy
+// of the loops rounds each product as the library does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
+#include "core/classical_baseline.h"
+#include "nn/gemm_simd.h"
 #include "nn/layers.h"
 
 namespace qugeo::nn {
@@ -271,6 +284,229 @@ TEST(NnGemmConformance, ReusedLayerMatchesFreshLayers) {
     expect_same_pass(lin, fresh_lin, random_tensor({shape[0] + shape[2] % 3, 6}, rng),
                      rng);
   }
+}
+
+// ------------------------------------------------- AVX2 tiles, bitwise --
+
+bool same_bits(const std::vector<Real>& a, const std::vector<Real>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Real)) == 0;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && same_bits(values(a), values(b));
+}
+
+// The plain loops of nn/layers.cpp, verbatim in their arithmetic.
+
+void plain_nn(std::size_t m, std::size_t n, std::size_t k, const Real* a,
+              const Real* b, Real* c) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t p = 0; p < k; ++p)
+      for (std::size_t j = 0; j < n; ++j)
+        c[i * n + j] += a[i * k + p] * b[p * n + j];
+}
+
+void plain_tn(std::size_t m, std::size_t n, std::size_t k, const Real* a,
+              const Real* b, Real* c) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t p = 0; p < k; ++p)
+      for (std::size_t j = 0; j < n; ++j)
+        c[i * n + j] += a[p * m + i] * b[p * n + j];
+}
+
+void plain_nt(std::size_t m, std::size_t n, std::size_t k, const Real* a,
+              const Real* b, Real* c) {
+  constexpr std::size_t kLanes = 8;
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      Real s[kLanes] = {};
+      std::size_t p = 0;
+      for (; p + kLanes <= k; p += kLanes)
+        for (std::size_t l = 0; l < kLanes; ++l)
+          s[l] += a[i * k + p + l] * b[j * k + p + l];
+      for (std::size_t l = 0; p + l < k; ++l)
+        s[l] += a[i * k + p + l] * b[j * k + p + l];
+      for (std::size_t half = kLanes / 2; half > 0; half /= 2)
+        for (std::size_t l = 0; l < half; ++l) s[l] += s[l + half];
+      c[i * n + j] += s[0];
+    }
+}
+
+/// Uniform values in [-1, 1) with every seventh a -0.0, so signed zeros
+/// reach the products, the partial sums and C.
+std::vector<Real> operand(std::size_t size, Rng& rng) {
+  std::vector<Real> v(size);
+  rng.fill_uniform(v, -1, 1);
+  for (std::size_t i = 0; i < size; i += 7) v[i] = -0.0;
+  return v;
+}
+
+using Gemm = void (*)(std::size_t, std::size_t, std::size_t, const Real*,
+                      const Real*, Real*);
+
+void expect_tile_equals_loop(Gemm tile, Gemm loop, const char* form,
+                             std::size_t m, std::size_t n, std::size_t k,
+                             std::size_t a_size, std::size_t b_size, Rng& rng) {
+  const std::vector<Real> a = operand(a_size, rng), b = operand(b_size, rng);
+  std::vector<Real> c_tile = operand(m * n, rng);
+  std::vector<Real> c_loop = c_tile;
+  tile(m, n, k, a.data(), b.data(), c_tile.data());
+  loop(m, n, k, a.data(), b.data(), c_loop.data());
+  EXPECT_TRUE(same_bits(c_tile, c_loop))
+      << form << " m=" << m << " n=" << n << " k=" << k;
+}
+
+/// Every tail of the tiles: m % 4 (A*B, A^T*B rows), n % 12 and n % 4
+/// (their columns; A*B^T's four dot products per A load), k % 8 and
+/// k < 8 (A*B^T's eight partial sums), n < 4.
+TEST(NnGemmAvx2, TilesEqualThePlainLoopsBitwise) {
+  if (!simd::cpu_supports_avx2())
+    GTEST_SKIP() << "no AVX2 kernels on this build/CPU";
+  Rng rng(4242);
+  const std::size_t rows[] = {1, 2, 3, 4, 5, 7, 8, 9};
+  const std::size_t cols[] = {1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 23, 24, 25};
+  const std::size_t depths[] = {1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 17, 33};
+  for (std::size_t m : rows)
+    for (std::size_t n : cols)
+      for (std::size_t k : depths) {
+        expect_tile_equals_loop(gemm_nn_avx2, plain_nn, "nn", m, n, k, m * k,
+                                k * n, rng);
+        expect_tile_equals_loop(gemm_tn_avx2, plain_tn, "tn", m, n, k, k * m,
+                                k * n, rng);
+        expect_tile_equals_loop(gemm_nt_avx2, plain_nt, "nt", m, n, k, m * k,
+                                n * k, rng);
+      }
+}
+
+/// What one layer produced over two forward/backward rounds.
+struct LayerRun {
+  std::vector<Tensor> outputs, input_grads;
+  std::vector<Tensor> param_grads;  // accumulated over both rounds
+};
+
+/// Build a layer with `make(rng)` from a fixed seed and run it at `mode`
+/// on fixed inputs and output gradients.
+template <typename Make>
+LayerRun run_layer_at(simd::SimdMode mode, Make make,
+                      const std::vector<std::size_t>& in_shape,
+                      std::uint64_t seed) {
+  const simd::ScopedSimdMode scoped(mode);
+  Rng rng(seed);
+  auto layer = make(rng);
+  // A nonzero bias in the sums.
+  rng.fill_uniform(layer->params()[1]->value.data_mut(), -1, 1);
+  LayerRun run;
+  for (int round = 0; round < 2; ++round) {
+    const Tensor x = random_tensor(in_shape, rng);
+    run.outputs.push_back(layer->forward(x));
+    const Tensor g = random_tensor(run.outputs.back().shape(), rng);
+    run.input_grads.push_back(layer->backward(g));
+  }
+  for (const Param* p : layer->params()) run.param_grads.push_back(p->grad);
+  return run;
+}
+
+template <typename Make>
+void expect_levels_agree(Make make, const std::vector<std::size_t>& in_shape,
+                         std::uint64_t seed, const std::string& what) {
+  const LayerRun scalar =
+      run_layer_at(simd::SimdMode::kScalar, make, in_shape, seed);
+  const LayerRun avx2 =
+      run_layer_at(simd::SimdMode::kAvx2, make, in_shape, seed);
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_TRUE(same_bits(scalar.outputs[r], avx2.outputs[r]))
+        << what << " output, round " << r;
+    EXPECT_TRUE(same_bits(scalar.input_grads[r], avx2.input_grads[r]))
+        << what << " input grad, round " << r;
+  }
+  for (std::size_t p = 0; p < scalar.param_grads.size(); ++p)
+    EXPECT_TRUE(same_bits(scalar.param_grads[p], avx2.param_grads[p]))
+        << what << " param " << p << " grad";
+}
+
+void expect_conv_levels_agree(const ConvSpec& c, std::size_t n,
+                              const std::string& net) {
+  expect_levels_agree(
+      [&](Rng& rng) {
+        return std::make_unique<Conv2d>(c.in, c.out, c.k, c.stride, c.pad, rng);
+      },
+      {n, c.in, c.h, c.w}, 3000 + c.in * 31 + c.out * 7 + c.k + n,
+      net + " Conv2d(" + std::to_string(c.in) + "," + std::to_string(c.out) +
+          ",k" + std::to_string(c.k) + ") on " + std::to_string(c.h) + "x" +
+          std::to_string(c.w) + " N=" + std::to_string(n));
+}
+
+void expect_linear_levels_agree(std::size_t in, std::size_t out, std::size_t n,
+                                const std::string& net) {
+  expect_levels_agree(
+      [&](Rng& rng) { return std::make_unique<Linear>(in, out, rng); }, {n, in},
+      4000 + in * 13 + out + n,
+      net + " Linear(" + std::to_string(in) + "," + std::to_string(out) +
+          ") N=" + std::to_string(n));
+}
+
+TEST(NnGemmAvx2, LayersMatchAcrossSimdLevelsBitwise) {
+  if (!simd::cpu_supports_avx2())
+    GTEST_SKIP() << "no AVX2 kernels on this build/CPU";
+  for (const NetConvs& net : paper_networks()) {
+    for (const ConvSpec& c : net.convs)
+      for (std::size_t n : {1u, 2u}) expect_conv_levels_agree(c, n, net.net);
+    for (const auto& [in, out] : net.linears)
+      for (std::size_t n : {1u, 2u})
+        expect_linear_levels_agree(in, out, n, net.net);
+  }
+  // Off the paper's shapes, into the tails: Linear(in, out) at batch N runs
+  // A*B^T with (m, n, k) = (N, out, in), A^T*B with (out, in, N) and A*B
+  // with (N, in, out); a conv with c_out channels on an oh x ow plane and
+  // r = c_in * k * k runs (c_out, oh * ow, r), (c_out, r, oh * ow) and
+  // (r, oh * ow, c_out).
+  expect_linear_levels_agree(7, 5, 3, "odd");    // k < 8, n % 4, m % 4
+  expect_linear_levels_agree(13, 3, 5, "odd");   // k % 8, n < 4
+  expect_linear_levels_agree(29, 27, 6, "odd");  // n % 12, n % 4, k % 8
+  expect_conv_levels_agree({3, 5, 3, 1, 1, 5, 7}, 2, "odd");  // 35, r = 27
+  expect_conv_levels_agree({2, 3, 2, 2, 0, 7, 9}, 1, "odd");  // 12, r = 8
+}
+
+/// A short INet-ref training (core/classical_baseline.cpp): its curve and
+/// trained parameters must be bitwise the same at both levels.
+TEST(NnGemmAvx2, InetTrainingMatchesAcrossSimdLevelsBitwise) {
+  if (!simd::cpu_supports_avx2())
+    GTEST_SKIP() << "no AVX2 kernels on this build/CPU";
+  Rng data_rng(77);
+  data::ScaledDataset ds;
+  ds.samples.resize(6);
+  for (auto& s : ds.samples) {
+    s.waveform.resize(ds.waveform_size());
+    data_rng.fill_uniform(s.waveform, -1, 1);
+    s.velocity.resize(ds.velocity_size());
+    data_rng.fill_uniform(s.velocity, 0, 1);
+  }
+  const data::SplitView split = data::split_dataset(6, 4);
+  core::TrainConfig tc;
+  tc.epochs = 2;
+  tc.initial_lr = 0.003;
+  struct Trained {
+    std::vector<Real> curve, params;
+  };
+  const auto train_at = [&](simd::SimdMode mode) {
+    const simd::ScopedSimdMode scoped(mode);
+    Rng rng(78);
+    core::ClassicalConfig cfg;
+    cfg.inversion_net_reference = true;
+    core::ClassicalFwiNet net(cfg, rng);
+    const core::TrainResult r = net.train(ds, split, tc);
+    Trained t;
+    for (const core::EpochRecord& e : r.curve)
+      t.curve.insert(t.curve.end(), {e.train_loss, e.test_ssim, e.test_mse});
+    t.params = net.parameters();
+    return t;
+  };
+  const Trained scalar = train_at(simd::SimdMode::kScalar);
+  const Trained avx2 = train_at(simd::SimdMode::kAvx2);
+  ASSERT_EQ(scalar.curve.size(), 6u);
+  EXPECT_TRUE(same_bits(scalar.curve, avx2.curve));
+  EXPECT_TRUE(same_bits(scalar.params, avx2.params));
 }
 
 }  // namespace

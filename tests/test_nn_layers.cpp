@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -152,6 +153,21 @@ TEST(ReLU, ForwardClampsNegatives) {
   EXPECT_EQ(y[2], 2.0);
 }
 
+TEST(ReLU, NaNAndNegativeZeroPassThrough) {
+  // Forward keeps NaN and -0.0 as they are (v < 0 is false for both);
+  // backward passes the gradient at NaN and blocks it at -0.0 (x <= 0).
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  ReLU relu;
+  const Tensor y = relu.forward(Tensor({3}, {nan, -0.0, -2}));
+  EXPECT_TRUE(std::isnan(y[0]));
+  EXPECT_TRUE(y[1] == 0 && std::signbit(y[1]));
+  EXPECT_EQ(y[2], 0.0);
+  const Tensor g = relu.backward(Tensor({3}, {5, 6, 7}));
+  EXPECT_EQ(g[0], 5.0);
+  EXPECT_EQ(g[1], 0.0);
+  EXPECT_EQ(g[2], 0.0);
+}
+
 TEST(ReLU, GradCheck) {
   Rng rng(8);
   ReLU relu;
@@ -192,6 +208,28 @@ TEST(MaxPool2d, GradRoutesToArgmax) {
   EXPECT_EQ(g[0], 0.0);
   EXPECT_EQ(g[1], 2.0);  // the max position
   EXPECT_EQ(g[2], 0.0);
+}
+
+TEST(MaxPool2d, NonFiniteWindowsKeepTheirGradientAndNaN) {
+  // Channel 0 is finite with its max last; channel 1 is all -inf, then all
+  // NaN. A window's gradient must stay inside that window, and a NaN must
+  // reach the output.
+  const Real inf = std::numeric_limits<Real>::infinity();
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  for (const Real fill : {-inf, nan}) {
+    MaxPool2d pool(2);
+    const Tensor x({1, 2, 2, 2}, {0.1, 0.2, 0.3, 0.9, fill, fill, fill, fill});
+    const Tensor y = pool.forward(x);
+    EXPECT_EQ(y[0], 0.9);
+    if (std::isnan(fill))
+      EXPECT_TRUE(std::isnan(y[1])) << "a NaN window output " << y[1];
+    else
+      EXPECT_EQ(y[1], -inf);
+    const Tensor g = pool.backward(Tensor({1, 2, 1, 1}, {1.0, 1.0}));
+    const std::vector<Real> got(g.data().begin(), g.data().end());
+    EXPECT_EQ(got, (std::vector<Real>{0, 0, 0, 1, 1, 0, 0, 0}))
+        << "fill " << fill;
+  }
 }
 
 TEST(MaxPool2d, GradCheck) {
