@@ -31,7 +31,7 @@ int main() {
   }
 
   std::printf("\n%-10s | %-8s %-10s | %-8s %-10s | %-9s %-9s\n", "Dataset",
-              "PX SSIM", "PX MSE", "LY SSIM", "LY MSE", "dSSIM", "dMSE%%");
+              "PX SSIM", "PX MSE", "LY SSIM", "LY MSE", "dSSIM", "dMSE%");
   std::printf("-----------+---------------------+---------------------+--------------------\n");
   Real mse_improve_sum = 0;
   for (const Row& r : rows) {

@@ -20,6 +20,7 @@ int main() {
   struct ModelRow {
     std::string name;
     std::size_t params = 0;
+    std::size_t paper_params = 0;  ///< the paper's budget; 0 = not in it
     Real ssim[2] = {0, 0};
     Real mse[2] = {0, 0};
   };
@@ -43,6 +44,7 @@ int main() {
       row.ssim[d] = r.train.final_ssim;
       row.mse[d] = r.train.final_mse;
     }
+    row.paper_params = decoder == core::DecoderKind::kPixel ? 634 : 616;
     rows.push_back(row);
   }
   for (const auto decoder :
@@ -58,6 +60,7 @@ int main() {
       row.ssim[d] = r.train.final_ssim;
       row.mse[d] = r.train.final_mse;
     }
+    row.paper_params = 576;
     rows.push_back(row);
   }
   {
@@ -79,12 +82,16 @@ int main() {
   }
 
   const ModelRow& bl = rows[0];  // CNN-PX is the paper's baseline
-  std::printf("\n%-8s | %-5s | %-8s %-10s %-8s | %-8s %-10s %-8s\n", "Model",
-              "Par.", "FW SSIM", "FW MSE", "dMSE%%", "CNN SSIM", "CNN MSE",
-              "dMSE%%");
-  std::printf("---------+-------+------------------------------+------------------------------\n");
+  std::printf("\n%-8s | %-5s | %-5s | %-8s %-10s %-8s | %-8s %-10s %-8s\n",
+              "Model", "Par.", "Paper", "FW SSIM", "FW MSE", "dMSE%",
+              "CNN SSIM", "CNN MSE", "dMSE%");
+  std::printf("---------+-------+-------+------------------------------+------------------------------\n");
   for (const ModelRow& r : rows) {
     std::printf("%-8s | %5zu |", r.name.c_str(), r.params);
+    if (r.paper_params > 0)
+      std::printf(" %5zu |", r.paper_params);
+    else
+      std::printf(" %5s |", "-");
     for (int d = 0; d < 2; ++d) {
       const Real dmse = 100.0 * (bl.mse[d] - r.mse[d]) / bl.mse[d];
       std::printf(" %8.4f %10.3e %+7.2f%% %s", r.ssim[d], r.mse[d], dmse,

@@ -11,7 +11,6 @@
 
 #include "core/ansatz.h"
 #include "core/encoder.h"
-#include "qsim/optimizer.h"
 #include "qsim/qasm.h"
 
 int main(int argc, char** argv) {
@@ -43,26 +42,15 @@ int main(int argc, char** argv) {
               ansatz.num_qubits(), ansatz.num_ops(),
               ansatz.two_qubit_op_count(), ansatz.depth());
 
-  qsim::Circuit raw_full(layout.total_qubits());
-  raw_full.append(prep);
-  const std::uint32_t offset = raw_full.append(ansatz);
-  std::vector<Real> full_params(raw_full.num_params(), 0);
+  qsim::Circuit full(layout.total_qubits());
+  full.append(prep);
+  const std::uint32_t offset = full.append(ansatz);
+  std::vector<Real> full_params(full.num_params(), 0);
   for (std::size_t i = 0; i < params.size(); ++i)
     full_params[offset + i] = params[i];
   std::printf("%-22s | %7zu | %7zu | %7zu | %7zu\n", "encoder + ansatz",
-              raw_full.num_qubits(), raw_full.num_ops(),
-              raw_full.two_qubit_op_count(), raw_full.depth());
-
-  // Peephole optimization before export (cancels the synthesis artifacts —
-  // identity rotations and adjacent CX pairs from the UCRY decomposition).
-  qsim::OptimizeStats ostats;
-  const qsim::Circuit full = qsim::optimize_circuit(raw_full, {}, &ostats);
-  std::printf("%-22s | %7zu | %7zu | %7zu | %7zu   (-%zu ops: %zu pairs, %zu "
-              "fused, %zu identities)\n",
-              "  after peephole opt", full.num_qubits(), full.num_ops(),
-              full.two_qubit_op_count(), full.depth(),
-              ostats.ops_before - ostats.ops_after, ostats.cancelled_pairs,
-              ostats.fused_rotations, ostats.dropped_identities);
+              full.num_qubits(), full.num_ops(), full.two_qubit_op_count(),
+              full.depth());
 
   const std::string qasm = qsim::to_qasm(full, full_params);
   // Round trip: the export dialect must read back op-for-op.

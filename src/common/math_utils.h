@@ -1,7 +1,6 @@
 // Small numeric helpers used across modules.
 #pragma once
 
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -32,13 +31,6 @@ namespace qugeo {
   return log2_floor(x);
 }
 
-/// Smallest power of two >= x (x must be >= 1).
-[[nodiscard]] constexpr std::size_t next_pow2(std::size_t x) noexcept {
-  std::size_t p = 1;
-  while (p < x) p <<= 1;
-  return p;
-}
-
 /// Euclidean (L2) norm of a real span.
 [[nodiscard]] inline Real l2_norm(std::span<const Real> v) noexcept {
   Real s = 0;
@@ -63,18 +55,6 @@ inline Real normalize_l2(std::span<Real> v) noexcept {
 [[nodiscard]] inline Real mean(std::span<const Real> v) noexcept {
   if (v.empty()) return 0;
   return std::accumulate(v.begin(), v.end(), Real(0)) / static_cast<Real>(v.size());
-}
-
-/// Clamp helper mirroring std::clamp with an assertion on the bound order.
-template <typename T>
-[[nodiscard]] constexpr T clamp(T x, T lo, T hi) noexcept {
-  assert(lo <= hi);
-  return x < lo ? lo : (x > hi ? hi : x);
-}
-
-/// Linear interpolation.
-[[nodiscard]] constexpr Real lerp(Real a, Real b, Real t) noexcept {
-  return a + (b - a) * t;
 }
 
 /// Complex product spelled out over real/imag parts. Bit-identical to the
@@ -107,12 +87,6 @@ template <typename T>
 [[nodiscard]] constexpr std::size_t insert_two_zero_bits(
     std::size_t j, std::size_t lo_bit, std::size_t hi_bit) noexcept {
   return insert_zero_bit(insert_zero_bit(j, lo_bit), hi_bit);
-}
-
-/// Approximate floating-point equality with absolute + relative tolerance.
-[[nodiscard]] inline bool approx_equal(Real a, Real b, Real atol = 1e-9,
-                                       Real rtol = 1e-7) noexcept {
-  return std::abs(a - b) <= atol + rtol * std::max(std::abs(a), std::abs(b));
 }
 
 }  // namespace qugeo

@@ -14,9 +14,9 @@
 // default — noiseless statevector — reproduces the pre-backend pipeline
 // bit-identically; the density-matrix and trajectory backends run the same
 // pipeline under exact or sampled NoiseModel channels (the NISQ ablation),
-// and a positive `shots` budget reads every expectation from sampled
-// measurements (the shot readout stage of qsim::run_probabilities) instead
-// of exact probabilities.
+// and a positive `shots` budget on any of the three reads every expectation
+// from sampled measurements (the shot readout stage of
+// qsim::run_probabilities) instead of exact probabilities.
 // Training gradients (loss_and_gradient) always use the exact noiseless
 // statevector + adjoint path, mirroring the paper's noiseless training; the
 // backend choice governs how the trained model is *read out*. Both paths

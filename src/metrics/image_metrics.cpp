@@ -1,8 +1,6 @@
 #include "metrics/image_metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -83,19 +81,6 @@ Real mse(std::span<const Real> a, std::span<const Real> b) {
     s += d * d;
   }
   return s / static_cast<Real>(a.size());
-}
-
-Real mae(std::span<const Real> a, std::span<const Real> b) {
-  check_sizes(a, b);
-  Real s = 0;
-  for (std::size_t k = 0; k < a.size(); ++k) s += std::abs(a[k] - b[k]);
-  return s / static_cast<Real>(a.size());
-}
-
-Real psnr(std::span<const Real> a, std::span<const Real> b, Real peak) {
-  const Real m = mse(a, b);
-  if (m <= 0) return std::numeric_limits<Real>::infinity();
-  return 10 * std::log10(peak * peak / m);
 }
 
 }  // namespace qugeo::metrics

@@ -1,5 +1,5 @@
 // Image-quality metrics used throughout the paper's evaluation: SSIM (the
-// headline score), MSE, and PSNR. SSIM follows Wang et al. 2004 with the
+// headline score) and MSE. SSIM follows Wang et al. 2004 with the
 // skimage-style uniform sliding window, shrunk automatically for the 8x8
 // velocity maps.
 #pragma once
@@ -26,12 +26,5 @@ struct SsimOptions {
 
 /// Mean squared error.
 [[nodiscard]] Real mse(std::span<const Real> a, std::span<const Real> b);
-
-/// Mean absolute error.
-[[nodiscard]] Real mae(std::span<const Real> a, std::span<const Real> b);
-
-/// Peak signal-to-noise ratio in dB for the given peak value.
-[[nodiscard]] Real psnr(std::span<const Real> a, std::span<const Real> b,
-                        Real peak);
 
 }  // namespace qugeo::metrics

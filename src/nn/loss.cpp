@@ -21,20 +21,4 @@ LossResult mse_loss(const Tensor& pred, const Tensor& target) {
   return r;
 }
 
-LossResult sse_loss(const Tensor& pred, const Tensor& target) {
-  if (pred.numel() != target.numel())
-    throw std::invalid_argument("sse_loss: size mismatch");
-  LossResult r;
-  r.grad = Tensor(pred.shape());
-  const auto p = pred.data();
-  const auto t = target.data();
-  auto g = r.grad.data_mut();
-  for (std::size_t k = 0; k < p.size(); ++k) {
-    const Real d = p[k] - t[k];
-    r.value += d * d;
-    g[k] = 2 * d;
-  }
-  return r;
-}
-
 }  // namespace qugeo::nn

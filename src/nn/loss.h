@@ -14,7 +14,4 @@ struct LossResult {
 /// Mean squared error over all elements: L = mean((pred - target)^2).
 [[nodiscard]] LossResult mse_loss(const Tensor& pred, const Tensor& target);
 
-/// Sum-of-squares error (the paper's Eq. 2/3 use an unnormalized sum).
-[[nodiscard]] LossResult sse_loss(const Tensor& pred, const Tensor& target);
-
 }  // namespace qugeo::nn

@@ -5,30 +5,15 @@
 
 namespace qugeo::nn {
 
-void Optimizer::zero_grad() {
-  for (Param* p : params_) p->grad.zero();
-}
+namespace {
 
-Sgd::Sgd(std::vector<Param*> params, Real momentum)
-    : Optimizer(std::move(params)), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const Param* p : params_) velocity_.emplace_back(p->value.shape());
-}
+constexpr Real kBeta1 = 0.9;
+constexpr Real kBeta2 = 0.999;
+constexpr Real kEps = 1e-8;
 
-void Sgd::step(Real lr) {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto val = params_[i]->value.data_mut();
-    const auto grad = params_[i]->grad.data();
-    auto vel = velocity_[i].data_mut();
-    for (std::size_t k = 0; k < val.size(); ++k) {
-      vel[k] = momentum_ * vel[k] + grad[k];
-      val[k] -= lr * vel[k];
-    }
-  }
-}
+}  // namespace
 
-Adam::Adam(std::vector<Param*> params, Real beta1, Real beta2, Real eps)
-    : Optimizer(std::move(params)), beta1_(beta1), beta2_(beta2), eps_(eps) {
+Adam::Adam(std::vector<Param*> params) : params_(std::move(params)) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Param* p : params_) {
@@ -37,21 +22,25 @@ Adam::Adam(std::vector<Param*> params, Real beta1, Real beta2, Real eps)
   }
 }
 
+void Adam::zero_grad() {
+  for (Param* p : params_) p->grad.zero();
+}
+
 void Adam::step(Real lr) {
   ++t_;
-  const Real bc1 = Real(1) - std::pow(beta1_, static_cast<Real>(t_));
-  const Real bc2 = Real(1) - std::pow(beta2_, static_cast<Real>(t_));
+  const Real bc1 = Real(1) - std::pow(kBeta1, static_cast<Real>(t_));
+  const Real bc2 = Real(1) - std::pow(kBeta2, static_cast<Real>(t_));
   for (std::size_t i = 0; i < params_.size(); ++i) {
     auto val = params_[i]->value.data_mut();
     const auto grad = params_[i]->grad.data();
     auto m = m_[i].data_mut();
     auto v = v_[i].data_mut();
     for (std::size_t k = 0; k < val.size(); ++k) {
-      m[k] = beta1_ * m[k] + (Real(1) - beta1_) * grad[k];
-      v[k] = beta2_ * v[k] + (Real(1) - beta2_) * grad[k] * grad[k];
+      m[k] = kBeta1 * m[k] + (Real(1) - kBeta1) * grad[k];
+      v[k] = kBeta2 * v[k] + (Real(1) - kBeta2) * grad[k] * grad[k];
       const Real mhat = m[k] / bc1;
       const Real vhat = v[k] / bc2;
-      val[k] -= lr * mhat / (std::sqrt(vhat) + eps_);
+      val[k] -= lr * mhat / (std::sqrt(vhat) + kEps);
     }
   }
 }

@@ -1,6 +1,6 @@
-// First-order optimizers over Param lists, plus the flat-vector Adam the
-// VQC trainer uses. Adam matches the paper's training setup (Adam, lr 0.1,
-// cosine annealing).
+// Adam over Param lists (the CNN baselines and the Q-D-CNN scaler), plus
+// the flat-vector Adam the VQC trainer uses. Adam matches the paper's
+// training setup (Adam, lr 0.1, cosine annealing).
 #pragma once
 
 #include <cstdint>
@@ -11,41 +11,20 @@
 
 namespace qugeo::nn {
 
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction: beta1 0.9, beta2 0.999,
+/// eps 1e-8.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Param*> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  explicit Adam(std::vector<Param*> params);
 
   /// Apply one update using the current gradients and learning rate.
-  virtual void step(Real lr) = 0;
+  void step(Real lr);
 
   /// Clear all accumulated gradients.
   void zero_grad();
 
- protected:
+ private:
   std::vector<Param*> params_;
-};
-
-/// Plain stochastic gradient descent (with optional momentum).
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(std::vector<Param*> params, Real momentum = 0);
-  void step(Real lr) override;
-
- private:
-  Real momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
- public:
-  explicit Adam(std::vector<Param*> params, Real beta1 = 0.9,
-                Real beta2 = 0.999, Real eps = 1e-8);
-  void step(Real lr) override;
-
- private:
-  Real beta1_, beta2_, eps_;
   std::size_t t_ = 0;
   std::vector<Tensor> m_, v_;
 };

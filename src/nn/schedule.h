@@ -22,14 +22,4 @@ class CosineAnnealingLr {
   std::size_t total_epochs_;
 };
 
-/// Constant schedule, for ablations.
-class ConstantLr {
- public:
-  explicit ConstantLr(Real lr) : lr_(lr) {}
-  [[nodiscard]] Real lr(std::size_t /*epoch*/) const noexcept { return lr_; }
-
- private:
-  Real lr_;
-};
-
 }  // namespace qugeo::nn

@@ -19,18 +19,14 @@ std::string_view backend_name(BackendKind kind) noexcept {
     case BackendKind::kStatevector: return "statevector";
     case BackendKind::kDensityMatrix: return "density";
     case BackendKind::kTrajectory: return "trajectory";
-    case BackendKind::kShot: return "shot";
   }
   return "?";
 }
 
 std::optional<BackendKind> parse_backend_kind(std::string_view name) noexcept {
-  if (name == "statevector" || name == "sv") return BackendKind::kStatevector;
-  if (name == "density" || name == "density_matrix")
-    return BackendKind::kDensityMatrix;
-  if (name == "trajectory" || name == "trajectories")
-    return BackendKind::kTrajectory;
-  if (name == "shot" || name == "shots") return BackendKind::kShot;
+  if (name == "statevector") return BackendKind::kStatevector;
+  if (name == "density") return BackendKind::kDensityMatrix;
+  if (name == "trajectory") return BackendKind::kTrajectory;
   return std::nullopt;
 }
 
@@ -38,8 +34,9 @@ ExecutionConfig apply_env_overrides(ExecutionConfig base) {
   if (const char* kind = std::getenv("QUGEO_BACKEND")) {
     const auto parsed = parse_backend_kind(kind);
     if (!parsed)
-      throw std::invalid_argument(std::string("QUGEO_BACKEND: unknown backend '") +
-                                  kind + "'");
+      throw std::invalid_argument(
+          std::string("QUGEO_BACKEND: unknown backend '") + kind +
+          "' (expected statevector | density | trajectory)");
     base.backend = *parsed;
   }
   base.noise.gate_error_prob =
@@ -130,8 +127,7 @@ std::vector<Real> run_probabilities(const ExecutionConfig& config,
   // The readout stage owns the readout error — it flips the sampled
   // outcomes — so the engine runs with it cleared to keep exactly one
   // realization of the channel.
-  const bool readout_stage =
-      config.shots > 0 || config.backend == BackendKind::kShot;
+  const bool readout_stage = config.shots > 0;
   NoiseModel noise = config.noise;
   if (readout_stage) noise.readout_error = 0;
   const Index num_qubits = initial_state.num_qubits();
@@ -169,7 +165,6 @@ std::vector<Real> run_probabilities(const ExecutionConfig& config,
   std::vector<Real> probs;
   switch (engine) {
     case BackendKind::kStatevector:
-    case BackendKind::kShot:
       probs = run_statevector(circuit, params, std::move(initial_state));
       break;
     case BackendKind::kDensityMatrix:
@@ -186,14 +181,6 @@ std::vector<Real> run_probabilities(const ExecutionConfig& config,
     throw std::invalid_argument("run_probabilities: unknown backend kind");
   if (!readout_stage) return probs;
 
-  const Real readout_error = config.noise.readout_error;
-  if (config.shots == 0) {
-    // No shot budget: realize the readout error as the exact confusion
-    // matrix, the infinite-shot limit of the sampled flips. With no
-    // readout error this returns the engine's output bitwise.
-    apply_readout_to_probabilities(probs, num_qubits, readout_error);
-    return probs;
-  }
   // Prefix sums in index order: the CDF the shot sampler inverts.
   Real acc = 0;
   for (Real& p : probs) {
@@ -201,7 +188,8 @@ std::vector<Real> run_probabilities(const ExecutionConfig& config,
     p = acc;
   }
   return sampled_probabilities_from_cdf(probs, num_qubits, config.seed,
-                                        config.shots, readout_error);
+                                        config.shots,
+                                        config.noise.readout_error);
 }
 
 }  // namespace qugeo::qsim

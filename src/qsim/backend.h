@@ -1,7 +1,7 @@
 // Simulation backends: one function, run_probabilities, over exact
 // statevector execution, exact density-matrix (channel) execution, sampled
 // noisy-trajectory execution, and a finite-shot readout stage after any of
-// the three.
+// the three when a shot budget is set.
 //
 // The core layer (QuGeoModel, Experiment, benches) selects a backend purely
 // through ExecutionConfig — no call-site special-casing — so the same
@@ -28,14 +28,13 @@ enum class BackendKind : std::uint8_t {
   kStatevector,    ///< exact pure-state simulation (fast-path kernels)
   kDensityMatrix,  ///< exact mixed-state simulation with exact channels
   kTrajectory,     ///< noise-trajectory sampling over the thread pool
-  kShot,           ///< finite-shot sampled readout over the statevector
 };
 
-/// "statevector" | "density" | "trajectory" | "shot".
+/// "statevector" | "density" | "trajectory".
 [[nodiscard]] std::string_view backend_name(BackendKind kind) noexcept;
 
-/// Inverse of backend_name (also accepts "density_matrix"); nullopt on
-/// unknown names.
+/// Inverse of backend_name: accepts exactly the names it prints; nullopt
+/// on any other text.
 [[nodiscard]] std::optional<BackendKind> parse_backend_kind(
     std::string_view name) noexcept;
 
@@ -74,7 +73,7 @@ struct ExecutionConfig {
 };
 
 /// Environment overrides for smoke runs and CI: QUGEO_BACKEND
-/// ("statevector" | "density" | "trajectory" | "shot"), QUGEO_NOISE_P
+/// ("statevector" | "density" | "trajectory"), QUGEO_NOISE_P
 /// (real), QUGEO_NOISE_CHANNEL ("depolarizing" | "amplitude_damping" |
 /// "phase_damping"), QUGEO_READOUT_P (real), QUGEO_TRAJECTORIES (integer),
 /// QUGEO_SHOTS (integer, 0 = exact). Unset variables leave `base`
@@ -100,15 +99,12 @@ struct ExecutionConfig {
 ///   as 1), an unbiased estimate of the channel's diagonal, fanned out
 ///   over the thread pool and bit-identical for any QUGEO_THREADS value.
 ///   A trivial NoiseModel runs once, exactly.
-/// - shot: the statevector engine.
 ///
-/// A readout stage follows when `config.shots > 0` or the backend is
-/// `shot`. It owns the readout error (the engine runs with it cleared, so
-/// the channel is realized once): at `shots == 0` it applies the exact
-/// confusion matrix, the infinite-shot limit; otherwise it estimates the
-/// probabilities from `shots` basis-state samples with the readout error
-/// flipping the sampled outcomes (qsim/shots.h). `config.seed` seeds the
-/// trajectory and shot streams.
+/// A readout stage follows when `config.shots > 0`. It owns the readout
+/// error (the engine runs with it cleared, so the channel is realized
+/// once) and estimates the probabilities from `shots` basis-state samples
+/// with the readout error flipping the sampled outcomes (qsim/shots.h).
+/// `config.seed` seeds the trajectory and shot streams.
 [[nodiscard]] std::vector<Real> run_probabilities(const ExecutionConfig& config,
                                                   const Circuit& circuit,
                                                   std::span<const Real> params,

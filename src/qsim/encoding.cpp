@@ -119,15 +119,4 @@ Circuit state_prep_circuit(std::span<const Real> data) {
   return c;
 }
 
-Circuit angle_encoding_circuit(std::span<const Real> data, Index num_qubits) {
-  if (data.size() > num_qubits)
-    throw std::invalid_argument("angle_encoding_circuit: more features than qubits");
-  Circuit c(num_qubits);
-  for (Index q = 0; q < data.size(); ++q) {
-    c.h(q);
-    c.ry(q, kPi * data[q]);
-  }
-  return c;
-}
-
 }  // namespace qugeo::qsim

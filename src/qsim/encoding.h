@@ -43,9 +43,4 @@ void encode_grouped_amplitudes(std::span<const std::vector<Real>> group_data,
 void append_ucry(Circuit& c, std::span<const Real> angles,
                  std::span<const Index> controls, Index target);
 
-/// Angle encoding (one feature per qubit, RY(pi * x) after H), provided for
-/// comparison experiments.
-[[nodiscard]] Circuit angle_encoding_circuit(std::span<const Real> data,
-                                             Index num_qubits);
-
 }  // namespace qugeo::qsim

@@ -1,6 +1,5 @@
 #include "qsim/observables.h"
 
-#include <bit>
 #include <stdexcept>
 
 namespace qugeo::qsim {
@@ -13,50 +12,6 @@ std::vector<Complex> cotangent_from_probability_grads(
   const auto amps = psi.amplitudes();
   for (Index k = 0; k < psi.dim(); ++k) lambda[k] = prob_grads[k] * amps[k];
   return lambda;
-}
-
-std::vector<Complex> cotangent_from_marginal_grads(
-    const StateVector& psi, std::span<const Index> qubits,
-    std::span<const Real> marginal_grads) {
-  if (marginal_grads.size() != (Index{1} << qubits.size()))
-    throw std::invalid_argument("cotangent_from_marginal_grads: need 2^m grads");
-  std::vector<Complex> lambda(psi.dim());
-  const auto amps = psi.amplitudes();
-  for (Index k = 0; k < psi.dim(); ++k) {
-    Index out = 0;
-    for (Index i = 0; i < qubits.size(); ++i)
-      if (k & (Index{1} << qubits[i])) out |= Index{1} << i;
-    lambda[k] = marginal_grads[out] * amps[k];
-  }
-  return lambda;
-}
-
-std::vector<Complex> cotangent_from_z_grads(const StateVector& psi,
-                                            std::span<const Index> qubits,
-                                            std::span<const Real> z_grads) {
-  if (z_grads.size() != qubits.size())
-    throw std::invalid_argument("cotangent_from_z_grads: size mismatch");
-  std::vector<Complex> lambda(psi.dim());
-  const auto amps = psi.amplitudes();
-  for (Index k = 0; k < psi.dim(); ++k) {
-    Real w = 0;
-    for (Index i = 0; i < qubits.size(); ++i)
-      w += ((k >> qubits[i]) & 1) ? -z_grads[i] : z_grads[i];
-    lambda[k] = w * amps[k];
-  }
-  return lambda;
-}
-
-Real expect_z_string(const StateVector& psi, std::span<const Index> qubits) {
-  Index mask = 0;
-  for (Index q : qubits) mask |= Index{1} << q;
-  Real e = 0;
-  const auto amps = psi.amplitudes();
-  for (Index k = 0; k < psi.dim(); ++k) {
-    const int parity = std::popcount(k & mask) & 1;
-    e += (parity ? Real(-1) : Real(1)) * std::norm(amps[k]);
-  }
-  return e;
 }
 
 }  // namespace qugeo::qsim

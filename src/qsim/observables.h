@@ -1,9 +1,9 @@
-// Measurement post-processing and cotangent construction for training.
+// Cotangent construction for training.
 //
-// Decoders in QuGeoVQC read either marginal probabilities (pixel decoder) or
-// per-qubit <Z> expectations (layer decoder). Both are quadratic forms in the
+// Both QuGeoVQC decoders read the Born probabilities and backpropagate a
+// loss gradient g_k = dL/dp_k. The probabilities are quadratic forms in the
 // state, so the loss cotangent lambda_k = dL/d(conj(psi_k)) has the closed
-// forms implemented here; adjoint_backward then turns it into parameter
+// form implemented here; adjoint_backward then turns it into parameter
 // gradients.
 #pragma once
 
@@ -18,23 +18,5 @@ namespace qugeo::qsim {
 /// given g_k = dL/dp_k, returns lambda_k = g_k * psi_k.
 [[nodiscard]] std::vector<Complex> cotangent_from_probability_grads(
     const StateVector& psi, std::span<const Real> prob_grads);
-
-/// Cotangent of a loss expressed through marginal probabilities over
-/// `qubits`: given g_j = dL/dP(j), returns lambda_k = g_{out(k)} * psi_k,
-/// where out(k) gathers the bits of k at `qubits`.
-[[nodiscard]] std::vector<Complex> cotangent_from_marginal_grads(
-    const StateVector& psi, std::span<const Index> qubits,
-    std::span<const Real> marginal_grads);
-
-/// Cotangent of a loss expressed through <Z_q> for each listed qubit:
-/// given g_i = dL/d<Z_{qubits[i]}>, returns
-/// lambda_k = (sum_i g_i * sign_i(k)) * psi_k.
-[[nodiscard]] std::vector<Complex> cotangent_from_z_grads(
-    const StateVector& psi, std::span<const Index> qubits,
-    std::span<const Real> z_grads);
-
-/// Expectation of a tensor product of Pauli Z on the listed qubits.
-[[nodiscard]] Real expect_z_string(const StateVector& psi,
-                                   std::span<const Index> qubits);
 
 }  // namespace qugeo::qsim

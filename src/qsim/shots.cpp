@@ -65,24 +65,6 @@ std::vector<Real> sampled_probabilities_from_cdf(std::span<const Real> cdf,
   return probs;
 }
 
-void apply_readout_to_probabilities(std::span<Real> probs, Index num_qubits,
-                                    Real readout_error) {
-  if (readout_error <= 0) return;
-  const Index dim = Index{1} << num_qubits;
-  if (probs.size() != dim)
-    throw std::invalid_argument(
-        "apply_readout_to_probabilities: size must be 2^num_qubits");
-  for (Index q = 0; q < num_qubits; ++q) {
-    const Index mask = Index{1} << q;
-    for (Index k = 0; k < dim; ++k) {
-      if (k & mask) continue;  // handle each (k, k^mask) pair once
-      const Real lo = probs[k], hi = probs[k | mask];
-      probs[k] = (1 - readout_error) * lo + readout_error * hi;
-      probs[k | mask] = (1 - readout_error) * hi + readout_error * lo;
-    }
-  }
-}
-
 std::vector<Real> expect_z_from_probabilities(std::span<const Real> probs,
                                               std::span<const Index> qubits) {
   std::vector<Real> z(qubits.size(), Real(0));

@@ -49,15 +49,6 @@ namespace qugeo::qsim {
     std::span<const Real> cdf, Index num_qubits, std::uint64_t seed,
     std::size_t shots, Real readout_error = 0);
 
-/// \brief Apply the readout bit-flip channel exactly to a probability
-/// vector — the classical confusion matrix, i.e. the infinite-shot limit
-/// of the sampled flips.
-///
-/// Per qubit, p'[k] = (1-e) p[k] + e p[k ^ bit]. In place, O(n 2^n).
-/// No-op for e <= 0.
-void apply_readout_to_probabilities(std::span<Real> probs, Index num_qubits,
-                                    Real readout_error);
-
 /// \brief <Z_q> for each listed qubit of a (possibly empirical)
 /// probability vector over the full computational basis.
 [[nodiscard]] std::vector<Real> expect_z_from_probabilities(

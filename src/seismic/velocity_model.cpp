@@ -121,10 +121,4 @@ VelocityModel generate_curvevel(const CurveVelConfig& config, Rng& rng) {
   return VelocityModel(grid, std::move(c));
 }
 
-std::vector<Real> vertical_profile(const VelocityModel& model, std::size_t ix) {
-  std::vector<Real> profile(model.nz());
-  for (std::size_t iz = 0; iz < model.nz(); ++iz) profile[iz] = model.at(iz, ix);
-  return profile;
-}
-
 }  // namespace qugeo::seismic

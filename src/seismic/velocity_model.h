@@ -82,9 +82,4 @@ struct CurveVelConfig {
 
 [[nodiscard]] VelocityModel generate_curvevel(const CurveVelConfig& config, Rng& rng);
 
-/// Row-averaged vertical velocity profile (length nz), used by the paper's
-/// Figures 7b/9b interface analysis.
-[[nodiscard]] std::vector<Real> vertical_profile(const VelocityModel& model,
-                                                 std::size_t ix);
-
 }  // namespace qugeo::seismic

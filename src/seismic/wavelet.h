@@ -19,7 +19,6 @@ class RickerWavelet {
   /// positive and the delay finite (negative selects the default).
   explicit RickerWavelet(Real peak_freq_hz, Real delay_s = -1);
 
-  [[nodiscard]] Real peak_freq() const noexcept { return freq_; }
   [[nodiscard]] Real delay() const noexcept { return delay_; }
 
   /// Amplitude at time t (seconds).

@@ -29,13 +29,6 @@ TEST(MathUtils, Log2Exact) {
   EXPECT_THROW((void)log2_exact(0), std::invalid_argument);
 }
 
-TEST(MathUtils, NextPow2) {
-  EXPECT_EQ(next_pow2(1), 1u);
-  EXPECT_EQ(next_pow2(5), 8u);
-  EXPECT_EQ(next_pow2(8), 8u);
-  EXPECT_EQ(next_pow2(9), 16u);
-}
-
 TEST(MathUtils, L2NormAndNormalize) {
   std::vector<Real> v = {3, 4};
   EXPECT_NEAR(l2_norm(v), 5.0, 1e-12);
@@ -57,20 +50,6 @@ TEST(MathUtils, MeanOfSpan) {
   const std::vector<Real> v = {1, 2, 3, 4};
   EXPECT_NEAR(mean(v), 2.5, 1e-12);
   EXPECT_EQ(mean(std::span<const Real>{}), 0.0);
-}
-
-TEST(MathUtils, ClampAndLerp) {
-  EXPECT_EQ(clamp(5, 0, 3), 3);
-  EXPECT_EQ(clamp(-1, 0, 3), 0);
-  EXPECT_EQ(clamp(2, 0, 3), 2);
-  EXPECT_NEAR(lerp(2.0, 4.0, 0.5), 3.0, 1e-12);
-  EXPECT_NEAR(lerp(2.0, 4.0, 0.0), 2.0, 1e-12);
-}
-
-TEST(MathUtils, ApproxEqual) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-10));
-  EXPECT_FALSE(approx_equal(1.0, 1.01));
-  EXPECT_TRUE(approx_equal(1e8, 1e8 * (1 + 1e-8)));
 }
 
 }  // namespace

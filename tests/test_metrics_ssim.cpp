@@ -1,4 +1,4 @@
-// Image metrics: SSIM identity/symmetry/sensitivity properties, MSE/PSNR.
+// Image metrics: SSIM identity/symmetry/sensitivity properties, MSE.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -107,24 +107,6 @@ TEST(Mse, KnownValue) {
 TEST(Mse, ZeroForIdentical) {
   const std::vector<Real> a = {0.3, 0.7};
   EXPECT_EQ(mse(a, a), 0.0);
-}
-
-TEST(Mae, KnownValue) {
-  const std::vector<Real> a = {1, -2};
-  const std::vector<Real> b = {0, 2};
-  EXPECT_NEAR(mae(a, b), (1 + 4) / 2.0, 1e-12);
-}
-
-TEST(Psnr, InfiniteForIdentical) {
-  const std::vector<Real> a = {0.1, 0.9};
-  EXPECT_TRUE(std::isinf(psnr(a, a, 1.0)));
-}
-
-TEST(Psnr, KnownValue) {
-  const std::vector<Real> a = {1.0};
-  const std::vector<Real> b = {0.9};
-  // mse = 0.01, peak = 1 -> 10*log10(1/0.01) = 20 dB.
-  EXPECT_NEAR(psnr(a, b, 1.0), 20.0, 1e-9);
 }
 
 TEST(Metrics, EmptyInputRejected) {

@@ -322,14 +322,5 @@ TEST(Loss, MseValueAndGrad) {
   EXPECT_NEAR(r.grad[1], 2.0 / 3.0, 1e-12);
 }
 
-TEST(Loss, SseValueAndGrad) {
-  const Tensor pred({2}, {2, -1});
-  const Tensor target({2}, {0, 0});
-  const LossResult r = sse_loss(pred, target);
-  EXPECT_NEAR(r.value, 5.0, 1e-12);
-  EXPECT_NEAR(r.grad[0], 4.0, 1e-12);
-  EXPECT_NEAR(r.grad[1], -2.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace qugeo::nn

@@ -1,9 +1,11 @@
-// Simulation backends through run_probabilities: cross-backend equivalence
-// at p = 0, trajectory convergence to the exact channel, deterministic
-// trajectory streams, the oversize density substitution, and env plumbing.
+// Simulation backends through run_probabilities: backend names,
+// cross-backend equivalence at p = 0, trajectory convergence to the exact
+// channel, deterministic trajectory streams, the oversize density
+// substitution, and env plumbing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "common/fault.h"
 #include "common/parallel.h"
@@ -68,12 +70,31 @@ StateVector random_state(Index qubits, Rng& rng) {
 TEST(Backend, NamesAndParsingRoundTrip) {
   for (const BackendKind kind :
        {BackendKind::kStatevector, BackendKind::kDensityMatrix,
-        BackendKind::kTrajectory, BackendKind::kShot}) {
+        BackendKind::kTrajectory}) {
     const auto parsed = parse_backend_kind(backend_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(parse_backend_kind("qpu").has_value());
+}
+
+TEST(Backend, ParsingAcceptsOnlyThePrintedNames) {
+  // Sampled readout is a shot budget on any engine (QUGEO_SHOTS), not a
+  // backend, and no alias spellings are accepted.
+  for (const char* name :
+       {"shot", "shots", "sv", "density_matrix", "trajectories"})
+    EXPECT_FALSE(parse_backend_kind(name).has_value()) << name;
+
+  ::setenv("QUGEO_BACKEND", "shot", 1);
+  try {
+    (void)apply_env_overrides(ExecutionConfig{});
+    ADD_FAILURE() << "QUGEO_BACKEND=shot was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("statevector | density | trajectory"),
+              std::string::npos)
+        << e.what();
+  }
+  ::unsetenv("QUGEO_BACKEND");
 }
 
 TEST(Backend, StatevectorMatchesDirectExecution) {

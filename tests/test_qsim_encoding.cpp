@@ -141,17 +141,5 @@ TEST(StatePrep, RejectsNonPow2) {
   EXPECT_THROW((void)state_prep_circuit(data), std::invalid_argument);
 }
 
-TEST(AngleEncoding, UsesOneQubitPerFeature) {
-  const std::vector<Real> data = {0.2, -0.5};
-  const Circuit c = angle_encoding_circuit(data, 3);
-  EXPECT_EQ(c.num_qubits(), 3u);
-  EXPECT_EQ(c.num_ops(), 4u);  // H + RY per feature
-}
-
-TEST(AngleEncoding, RejectsTooManyFeatures) {
-  const std::vector<Real> data = {0.1, 0.2, 0.3};
-  EXPECT_THROW((void)angle_encoding_circuit(data, 2), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace qugeo::qsim

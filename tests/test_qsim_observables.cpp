@@ -1,5 +1,4 @@
-// Cotangent builders: each must equal the numerical derivative of its
-// observable with respect to the state amplitudes.
+// The probability cotangent builder: its closed form and size validation.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -29,61 +28,10 @@ TEST(Observables, ProbabilityCotangentForm) {
   }
 }
 
-TEST(Observables, MarginalCotangentGathersBits) {
-  Rng rng(4);
-  const StateVector psi = random_state(3, rng);
-  const std::vector<Index> qubits = {2, 0};  // out bit0 = qubit2, bit1 = qubit0
-  std::vector<Real> g(4);
-  rng.fill_uniform(g, -1, 1);
-  const auto cot = cotangent_from_marginal_grads(psi, qubits, g);
-  for (Index k = 0; k < psi.dim(); ++k) {
-    Index out = 0;
-    if (k & 4) out |= 1;  // qubit 2
-    if (k & 1) out |= 2;  // qubit 0
-    EXPECT_NEAR(std::abs(cot[k] - g[out] * psi.amplitude(k)), 0, 1e-14);
-  }
-}
-
-TEST(Observables, ZCotangentSigns) {
-  Rng rng(5);
-  const StateVector psi = random_state(2, rng);
-  const std::vector<Index> qubits = {0, 1};
-  const std::vector<Real> g = {0.7, -0.3};
-  const auto cot = cotangent_from_z_grads(psi, qubits, g);
-  // lambda_k = (sum_q s_{k,q} g_q) psi_k.
-  const Real w[4] = {0.7 - 0.3, -0.7 - 0.3, 0.7 + 0.3, -0.7 + 0.3};
-  for (Index k = 0; k < 4; ++k)
-    EXPECT_NEAR(std::abs(cot[k] - w[k] * psi.amplitude(k)), 0, 1e-14);
-}
-
-TEST(Observables, ZStringParity) {
-  StateVector psi(2);  // |00>
-  const std::vector<Index> both = {0, 1};
-  EXPECT_NEAR(expect_z_string(psi, both), 1.0, 1e-14);
-  psi.apply_1q(gate_matrix(GateKind::kX, {}), 0);  // |01>
-  EXPECT_NEAR(expect_z_string(psi, both), -1.0, 1e-14);
-  psi.apply_1q(gate_matrix(GateKind::kX, {}), 1);  // |11>
-  EXPECT_NEAR(expect_z_string(psi, both), 1.0, 1e-14);
-}
-
-TEST(Observables, ZStringMatchesSingleQubitExpectation) {
-  Rng rng(6);
-  const StateVector psi = random_state(3, rng);
-  for (Index q = 0; q < 3; ++q) {
-    const std::vector<Index> one = {q};
-    EXPECT_NEAR(expect_z_string(psi, one), psi.expect_z(q), 1e-12);
-  }
-}
-
 TEST(Observables, SizeValidation) {
   StateVector psi(2);
   std::vector<Real> bad(3);
   EXPECT_THROW((void)cotangent_from_probability_grads(psi, bad),
-               std::invalid_argument);
-  const std::vector<Index> qubits = {0};
-  EXPECT_THROW((void)cotangent_from_marginal_grads(psi, qubits, bad),
-               std::invalid_argument);
-  EXPECT_THROW((void)cotangent_from_z_grads(psi, qubits, bad),
                std::invalid_argument);
 }
 

@@ -1,8 +1,7 @@
 // Shot readout stage of run_probabilities: convergence of the empirical
 // distribution to the engine's exact probabilities (binomial 4-sigma
-// bound), bit-identical sampling for any thread count, exact pass-through
-// at shots = 0, readout-error inversion, every engine under the stage, and
-// env plumbing.
+// bound), bit-identical sampling for any thread count, readout-error
+// inversion, every engine under the stage, and env plumbing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -64,39 +63,6 @@ TEST(ShotBackend, BitIdenticalAcrossThreadCounts) {
 
   ASSERT_EQ(p1.size(), p4.size());
   for (std::size_t k = 0; k < p1.size(); ++k) EXPECT_EQ(p1[k], p4[k]);
-}
-
-TEST(ShotBackend, ZeroShotsIsExactlyTheWrappedBackend) {
-  const Circuit c = spread_circuit(3);
-  ExecutionConfig cfg;
-  const auto p_sv = run_probabilities(cfg, c, {}, StateVector(3));
-
-  cfg.backend = BackendKind::kShot;  // shots stays 0: exact pass-through
-  const auto p_shot = run_probabilities(cfg, c, {}, StateVector(3));
-  ASSERT_EQ(p_sv.size(), p_shot.size());
-  for (std::size_t k = 0; k < p_sv.size(); ++k) EXPECT_EQ(p_sv[k], p_shot[k]);
-}
-
-TEST(ShotBackend, ZeroShotsAppliesReadoutErrorExactly) {
-  // With no shot budget the wrapper still owns the readout error and must
-  // realize it exactly (the confusion matrix / infinite-shot limit), not
-  // silently drop it: <Z> contracts by exactly (1 - 2e).
-  const Circuit c = spread_circuit(3);
-  ExecutionConfig cfg;
-  const std::vector<Index> qubits = {0, 1, 2};
-  const auto z_exact = expect_z_from_probabilities(
-      run_probabilities(cfg, c, {}, StateVector(3)), qubits);
-
-  const Real e = 0.07;
-  cfg.backend = BackendKind::kShot;  // shots stays 0
-  cfg.noise.readout_error = e;
-  const auto probs = run_probabilities(cfg, c, {}, StateVector(3));
-  const auto z = expect_z_from_probabilities(probs, qubits);
-  for (std::size_t i = 0; i < qubits.size(); ++i)
-    EXPECT_NEAR(z[i], (1 - 2 * e) * z_exact[i], 1e-12) << "qubit " << i;
-  Real total = 0;
-  for (const Real p : probs) total += p;
-  EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 TEST(ShotBackend, SampledEstimatesAreDeterministicForAFixedSeed) {

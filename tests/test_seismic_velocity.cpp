@@ -1,5 +1,5 @@
-// Velocity-model generators: FlatVel layering invariants, resampling, the
-// CurveVel extension, and profile extraction.
+// Velocity-model generators: FlatVel layering invariants, resampling, and
+// the CurveVel extension.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,15 +116,6 @@ TEST(CurveVel, VelocitiesInRange) {
   const auto [lo, hi] = std::ranges::minmax(m.data());
   EXPECT_GE(lo, cfg.base.vmin);
   EXPECT_LE(hi, cfg.base.vmax);
-}
-
-TEST(VerticalProfile, ExtractsColumn) {
-  VelocityModel m(Grid2D{4, 3, 10, 10}, 1000.0);
-  m.at(2, 1) = 4000.0;
-  const auto prof = vertical_profile(m, 1);
-  ASSERT_EQ(prof.size(), 4u);
-  EXPECT_EQ(prof[2], 4000.0);
-  EXPECT_EQ(prof[0], 1000.0);
 }
 
 }  // namespace
