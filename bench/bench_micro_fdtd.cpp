@@ -90,7 +90,15 @@ void BM_RawCorpus(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kSamples));
 }
-BENCHMARK(BM_RawCorpus)->Unit(benchmark::kMillisecond)->UseRealTime();
+// The corpus rows discard 0.5 s of warm-up: after an idle pause the
+// process's first fan-outs run ~3x slow and would set the iteration count
+// (2 iterations). Google Benchmark 1.7 honours a benchmark's own warm-up
+// only when it sets MinTime too; 0.5 s is the default min time.
+BENCHMARK(BM_RawCorpus)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->MinTime(0.5)
+    ->MinWarmUpTime(0.5);
 
 void BM_ExperimentCorpus(benchmark::State& state) {
   // load_or_build_experiment_data on a cache miss: 4 + 1 OpenFWI maps (the
@@ -118,7 +126,11 @@ void BM_ExperimentCorpus(benchmark::State& state) {
                           static_cast<std::int64_t>(cfg.num_samples +
                                                     cfg.cnn_train_samples));
 }
-BENCHMARK(BM_ExperimentCorpus)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_ExperimentCorpus)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->MinTime(0.5)
+    ->MinWarmUpTime(0.5);
 
 void BM_QuantumScaleRemodel(benchmark::State& state) {
   // The Q-D-FW scaling path for one sample (Sec. 3.1.1).

@@ -89,6 +89,11 @@ class Pool {
     task->simd_override = simd::thread_override();
     task->begin = begin;
     task->count = n;
+    // Iteration `begin` is the submitter's: it is claimed here, before any
+    // worker can see the task, so a caller can keep a long iteration (the
+    // Q-D-CNN scaler training, data/cache.cpp) and its allocations on its
+    // own thread.
+    task->next.store(1, std::memory_order_relaxed);
 
     {
       MutexLock lk(mutex_);
@@ -97,7 +102,7 @@ class Pool {
     }
     wake_.notify_all();
 
-    work_on(*task);  // the submitting thread is pool member #0
+    work_on(*task, /*submitter=*/true);  // the submitter is pool member #0
 
     {
       MutexLock lk(mutex_);
@@ -140,13 +145,16 @@ class Pool {
     return n;
   }
 
-  void work_on(Task& task) QUGEO_EXCLUDES(mutex_) {
+  /// Run claimed iterations until none is left; the submitter starts with
+  /// the iteration it reserved in run().
+  void work_on(Task& task, bool submitter = false) QUGEO_EXCLUDES(mutex_) {
     const bool was_worker = tl_in_pool_worker;
     tl_in_pool_worker = true;
     std::size_t finished = 0;
     const simd::ScopedSimdMode simd_mode(task.simd_override);
-    for (;;) {
-      const std::size_t i = task.next.fetch_add(1, std::memory_order_relaxed);
+    for (bool reserved = submitter;; reserved = false) {
+      const std::size_t i =
+          reserved ? 0 : task.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= task.count) break;
       // After a failure, claimed iterations are drained (counted but not
       // run) so the submitting thread's completion wait stays bounded.

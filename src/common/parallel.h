@@ -12,8 +12,12 @@
 //    count (see test_common_parallel.cpp).
 //  - Threads claim one iteration at a time; every caller's iteration is
 //    coarse (a shot, a sample, a QuBatch chunk, a trajectory slot).
+//  - The submitting thread runs iteration `begin` itself; workers claim
+//    from begin + 1 on. A fan-out can so keep one long iteration, and the
+//    memory it allocates, on the caller's thread (the corpus build trains
+//    the Q-D-CNN scaler there while the workers model shots).
 //  - Nested parallel_for calls run inline on the calling worker (no
-//    deadlock, no oversubscription).
+//    deadlock, no oversubscription), in index order, as at 1 thread.
 //  - A submitter's simd::ScopedSimdMode override (common/cpu_features.h)
 //    holds on every thread while it runs an iteration of that fan-out.
 #pragma once

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 
 #include "data/scaling.h"
 #include "nn/layers.h"
@@ -28,6 +29,27 @@ struct CnnScalerConfig {
   std::size_t batch_size = 8;
 };
 
+/// The CNN's input before its scale: the target's picked shots of a raw
+/// volume (picked_sources), each decimated to input_time_rows x
+/// input_rec_cols by nearest neighbour, as a [1, nsrc, rows, cols] tensor.
+/// The scaler multiplies every value by its input scale once, so a caller
+/// may keep this pick and drop the volume before the scale is known.
+[[nodiscard]] nn::Tensor cnn_input_pick(const seismic::SeismicData& seismic,
+                                        const ScaleTarget& target,
+                                        const CnnScalerConfig& config);
+
+/// max |v| over raw samples (NaN skipped). The largest over every shot of
+/// the training volumes sets the scaler's input scale; max is exact, so
+/// any grouping of the shots gives the same value.
+[[nodiscard]] Real max_abs_amplitude(std::span<const Real> samples);
+
+/// What the compressor learns from, one entry per training map.
+struct CnnTrainingSet {
+  std::vector<nn::Tensor> picks;           ///< cnn_input_pick of each volume
+  std::vector<std::vector<Real>> targets;  ///< each map's Q-D-FW waveform
+  Real max_abs = 0;  ///< max_abs_amplitude over every training shot
+};
+
 /// Learned compressor; construct via train_cnn_scaler. Its nn layers own
 /// scratch buffers, so scale_dataset runs it one sample at a time.
 class CnnScaler final : public Scaler {
@@ -35,15 +57,25 @@ class CnnScaler final : public Scaler {
   [[nodiscard]] ScaledSample scale(const RawSample& raw) const override;
   [[nodiscard]] std::string name() const override { return "Q-D-CNN"; }
 
+  /// scale() of a sample from its map and the cnn_input_pick of its
+  /// volume; bitwise scale() of that sample.
+  [[nodiscard]] ScaledSample scale(
+      nn::Tensor pick, const seismic::VelocityModel& velocity) const;
+
   /// Compress a raw waveform (without touching the velocity map).
   [[nodiscard]] std::vector<Real> compress(const seismic::SeismicData& seismic) const;
 
   [[nodiscard]] std::size_t param_count() const;
 
  private:
-  friend CnnScaler train_cnn_scaler(const RawDataset&, const ScaleTarget&,
+  friend CnnScaler train_cnn_scaler(CnnTrainingSet, const ScaleTarget&,
                                     const CnnScalerConfig&, Rng&);
   CnnScaler() = default;
+
+  /// The pick times input_scale_: the network's input.
+  [[nodiscard]] nn::Tensor scaled_input(nn::Tensor pick) const;
+  /// compress() of the volume whose cnn_input_pick this is.
+  [[nodiscard]] std::vector<Real> compress(nn::Tensor pick) const;
 
   ScaleTarget target_;
   CnnScalerConfig config_;
@@ -53,8 +85,17 @@ class CnnScaler final : public Scaler {
 
 /// Train the compressor on `train_set`: inputs are decimated raw waveforms,
 /// targets are per-sample L2-normalized Q-D-FW waveforms. Returns the ready
-/// scaler. Deterministic given `rng`.
+/// scaler. Deterministic given `rng`. Gathers the CnnTrainingSet of the
+/// volumes (re-modelling the targets over the pool) and trains on it.
 [[nodiscard]] CnnScaler train_cnn_scaler(const RawDataset& train_set,
+                                         const ScaleTarget& target,
+                                         const CnnScalerConfig& config,
+                                         Rng& rng);
+
+/// The same training from a gathered set, on the calling thread; bitwise
+/// the scaler above when the set holds what it gathers. Throws
+/// std::invalid_argument when the set is empty or ragged.
+[[nodiscard]] CnnScaler train_cnn_scaler(CnnTrainingSet train_set,
                                          const ScaleTarget& target,
                                          const CnnScalerConfig& config,
                                          Rng& rng);

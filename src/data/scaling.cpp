@@ -2,21 +2,28 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "common/parallel.h"
 
 namespace qugeo::data {
 
-ScaledDataset Scaler::scale_dataset(const RawDataset& raw,
-                                    const ScaleTarget& target) const {
+ScaledDataset make_scaled_dataset(std::string name, const ScaleTarget& target,
+                                  std::size_t n) {
   ScaledDataset out;
-  out.scaler_name = name();
+  out.scaler_name = std::move(name);
   out.nsrc = target.nsrc;
   out.nt = target.nt;
   out.nrec = target.nrec;
   out.vel_rows = target.vel_rows;
   out.vel_cols = target.vel_cols;
-  out.samples.resize(raw.size());
+  out.samples.resize(n);
+  return out;
+}
+
+ScaledDataset Scaler::scale_dataset(const RawDataset& raw,
+                                    const ScaleTarget& target) const {
+  ScaledDataset out = make_scaled_dataset(name(), target, raw.size());
   const auto scale_one = [&](std::size_t i) {
     out.samples[i] = scale(raw.samples[i]);
   };

@@ -55,6 +55,12 @@ struct ScaleTarget {
   Real time_gain_power = 2.0;
 };
 
+/// An n-sample dataset named `name`, shaped as `target` says, its samples
+/// still empty: what Scaler::scale_dataset fills.
+[[nodiscard]] ScaledDataset make_scaled_dataset(std::string name,
+                                                const ScaleTarget& target,
+                                                std::size_t n);
+
 /// Apply the ScaleTarget's time gain to a (nsrc, nt, nrec) waveform in place.
 void apply_time_gain(std::vector<Real>& waveform, const ScaleTarget& target);
 

@@ -340,29 +340,34 @@ Tensor MaxPool2d::forward(const Tensor& x) {
   Tensor y({n, c, oh, ow});
   out_shape_ = y.shape();
   argmax_.assign(y.numel(), 0);
-  std::size_t out_idx = 0;
-  for (std::size_t b = 0; b < n; ++b)
-    for (std::size_t ch = 0; ch < c; ++ch)
-      for (std::size_t i = 0; i < oh; ++i)
-        for (std::size_t j = 0; j < ow; ++j, ++out_idx) {
-          // Seeded from the window's own first element, so an all -inf
-          // window routes its gradient inside itself; the first NaN in a
-          // window wins and reaches the output.
-          std::size_t best_flat =
-              ((b * c + ch) * h + i * kernel_) * w + j * kernel_;
-          Real best = x[best_flat];
-          for (std::size_t ki = 0; ki < kernel_; ++ki)
-            for (std::size_t kj = 0; kj < kernel_; ++kj) {
-              const std::size_t ih = i * kernel_ + ki, iw = j * kernel_ + kj;
-              const Real v = x.at4(b, ch, ih, iw);
-              if (v > best || (std::isnan(v) && !std::isnan(best))) {
-                best = v;
-                best_flat = ((b * c + ch) * h + ih) * w + iw;
-              }
+  Real* out = y.data_mut().data();
+  std::size_t* arg = argmax_.data();
+  // One input plane per (batch item, channel); outputs in (plane, i, j)
+  // order. Positions are offsets into the plane until stored flat.
+  for (std::size_t plane = 0; plane < n * c; ++plane) {
+    const std::size_t base = plane * h * w;
+    const Real* in = x.data().data() + base;
+    for (std::size_t i = 0; i < oh; ++i)
+      for (std::size_t j = 0; j < ow; ++j) {
+        // Seeded from the window's own first element, so an all -inf
+        // window routes its gradient inside itself; the first NaN in a
+        // window wins and reaches the output.
+        std::size_t best_at = i * kernel_ * w + j * kernel_;
+        Real best = in[best_at];
+        for (std::size_t ki = 0; ki < kernel_; ++ki) {
+          const std::size_t row = (i * kernel_ + ki) * w + j * kernel_;
+          for (std::size_t kj = 0; kj < kernel_; ++kj) {
+            const Real v = in[row + kj];
+            if (v > best || (std::isnan(v) && !std::isnan(best))) {
+              best = v;
+              best_at = row + kj;
             }
-          y.at4(b, ch, i, j) = best;
-          argmax_[out_idx] = best_flat;
+          }
         }
+        *out++ = best;
+        *arg++ = base + best_at;
+      }
+  }
   return y;
 }
 

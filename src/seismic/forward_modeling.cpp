@@ -84,7 +84,28 @@ ShotPlan plan_shots(const VelocityModel& model, const Acquisition& acq) {
   return plan;
 }
 
+void check_source(std::size_t source, const Acquisition& acq) {
+  if (source >= acq.num_sources)
+    throw std::invalid_argument("model_shots: source index " +
+                                std::to_string(source) + " >= num_sources " +
+                                std::to_string(acq.num_sources));
+}
+
+ShotGather run_shot(const VelocityModel& model, const ShotPlan& plan,
+                    const RickerWavelet& wavelet, std::size_t source) {
+  return simulate_shot(model, plan.sources[source], wavelet, plan.receivers,
+                       plan.cfg);
+}
+
 }  // namespace
+
+ShotGather model_shot(const VelocityModel& model, const Acquisition& acq,
+                      std::size_t source) {
+  const RickerWavelet wavelet(acq.wavelet_freq_hz);
+  const ShotPlan plan = plan_shots(model, acq);
+  check_source(source, acq);
+  return run_shot(model, plan, wavelet, source);
+}
 
 SeismicData model_shots(const VelocityModel& model, const Acquisition& acq) {
   return std::move(model_shots(std::span<const VelocityModel>(&model, 1), acq)
@@ -106,11 +127,7 @@ std::vector<SeismicData> model_shots(std::span<const VelocityModel> models,
   plans.reserve(models.size());
   for (const VelocityModel& model : models)
     plans.push_back(plan_shots(model, acq));
-  for (std::size_t s : sources)
-    if (s >= acq.num_sources)
-      throw std::invalid_argument("model_shots: source index " +
-                                  std::to_string(s) + " >= num_sources " +
-                                  std::to_string(acq.num_sources));
+  for (std::size_t s : sources) check_source(s, acq);
 
   std::vector<SeismicData> data(
       models.size(),
@@ -121,9 +138,7 @@ std::vector<SeismicData> model_shots(std::span<const VelocityModel> models,
   const std::size_t nsrc = sources.size();
   parallel_for(0, models.size() * nsrc, [&](std::size_t i) {
     const std::size_t m = i / nsrc, k = i % nsrc;
-    const ShotPlan& plan = plans[m];
-    data[m].set_shot(k, simulate_shot(models[m], plan.sources[sources[k]],
-                                      wavelet, plan.receivers, plan.cfg));
+    data[m].set_shot(k, run_shot(models[m], plans[m], wavelet, sources[k]));
   });
   return data;
 }

@@ -12,7 +12,8 @@
 // is bitwise the same for any QUGEO_THREADS value and any grouping of
 // models or sources into calls. A call may run a list of the acquisition's
 // sources instead of all of them; a listed shot keeps the geometry of the
-// every-source call, so it is bitwise that call's shot. Invalid models,
+// every-source call, so it is bitwise that call's shot; so is one shot of
+// model_shot, which runs on the calling thread. Invalid models,
 // acquisitions and source indices throw std::invalid_argument on the
 // calling thread before any shot runs.
 #pragma once
@@ -62,6 +63,13 @@ struct Acquisition {
 [[nodiscard]] std::vector<SeismicData> model_shots(
     std::span<const VelocityModel> models, const Acquisition& acq,
     std::span<const std::size_t> sources);
+
+/// One shot, on the calling thread: source `source` of acq over `model`,
+/// bitwise shot `source` of model_shots(model, acq). For callers that run
+/// shots as iterations of their own fan-out. A source >= acq.num_sources
+/// throws std::invalid_argument.
+[[nodiscard]] ShotGather model_shot(const VelocityModel& model,
+                                    const Acquisition& acq, std::size_t source);
 
 /// Q-D-FW in one call: downsample the velocity map to target_nz x target_nx
 /// and re-model at the quantum scale. Internally the coarse map is refined

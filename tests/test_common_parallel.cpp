@@ -88,6 +88,44 @@ TEST(Parallel, NestedCallsRunInline) {
   set_num_threads(0);
 }
 
+TEST(Parallel, SubmitterRunsFirstIteration) {
+  // Iteration `begin` runs on the submitting thread whatever the workers
+  // do. The fan-outs run back to back, so a worker still waking from the
+  // previous one can race the submitter for the next one's first claim.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    set_num_threads(threads);
+    for (std::size_t rep = 0; rep < 200; ++rep) {
+      const std::size_t begin = rep % 3;
+      std::thread::id first_on;
+      parallel_for(begin, begin + 4, [&](std::size_t i) {
+        if (i == begin) first_on = std::this_thread::get_id();
+      });
+      ASSERT_EQ(first_on, caller) << threads << " threads, fan-out " << rep;
+    }
+    // A nested fan-out runs inline, in index order, on the thread that
+    // submits it.
+    std::vector<std::vector<std::size_t>> order(8);
+    std::vector<int> on_submitter(8, 0);
+    parallel_for(0, 8, [&](std::size_t outer) {
+      const std::thread::id submitter = std::this_thread::get_id();
+      int same = 1;
+      parallel_for(10, 14, [&](std::size_t inner) {
+        same &= static_cast<int>(std::this_thread::get_id() == submitter);
+        order[outer].push_back(inner);
+      });
+      on_submitter[outer] = same;
+    });
+    for (std::size_t outer = 0; outer < order.size(); ++outer) {
+      EXPECT_EQ(order[outer], (std::vector<std::size_t>{10, 11, 12, 13}))
+          << threads << " threads, outer " << outer;
+      EXPECT_EQ(on_submitter[outer], 1)
+          << threads << " threads, outer " << outer;
+    }
+  }
+  set_num_threads(0);
+}
+
 TEST(Parallel, ThreadsClaimOneIterationAtATime) {
   // 20 iterations on 4 threads: iterations 0-3 must run at once on four
   // threads, so they meet at a 4-party rendezvous. A thread that claimed

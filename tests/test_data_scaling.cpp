@@ -2,6 +2,10 @@
 // behaviour, CNN compressor training.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+
 #include "common/math_utils.h"
 #include "data/cnn_scaler.h"
 #include "data/scaling.h"
@@ -151,6 +155,82 @@ TEST(CnnScaler, EmptyTrainSetRejected) {
   Rng rng(1);
   EXPECT_THROW((void)train_cnn_scaler(empty, ScaleTarget{}, CnnScalerConfig{}, rng),
                std::invalid_argument);
+  CnnTrainingSet ragged;
+  ragged.picks.resize(2);
+  ragged.targets.resize(1);
+  EXPECT_THROW((void)train_cnn_scaler(std::move(ragged), ScaleTarget{},
+                                      CnnScalerConfig{}, rng),
+               std::invalid_argument);
+}
+
+bool same_bits(const std::vector<Real>& a, const std::vector<Real>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Real)) == 0;
+}
+
+/// The volume of only the shots a target_nsrc-shot target reads, as the
+/// corpus build models it.
+seismic::SeismicData picked_volume(const seismic::SeismicData& full,
+                                   std::size_t target_nsrc) {
+  const std::vector<std::size_t> picked =
+      picked_sources(full.nsrc(), std::min(target_nsrc, full.nsrc()));
+  seismic::SeismicData out(picked.size(), full.nt(), full.nrec());
+  for (std::size_t k = 0; k < picked.size(); ++k) {
+    const auto shot = full.shot_span(picked[k]);
+    const auto at = static_cast<std::ptrdiff_t>(k * shot.size());
+    std::copy(shot.begin(), shot.end(), out.data_mut().begin() + at);
+  }
+  return out;
+}
+
+TEST(CnnScaler, KeptPickScalesAsTheFullVolume) {
+  // The corpus build keeps each map's unscaled pick of its picked shots and
+  // frees the volume: scaling the pick, the D-Sample sample of the picked
+  // shots and a scaler trained from kept picks are all bitwise what the
+  // full five-shot volumes give.
+  const RawDataset raw = small_raw(3, 17);
+  for (std::size_t nsrc : {std::size_t{1}, std::size_t{3}}) {
+    ScaleTarget target;
+    target.nsrc = nsrc;
+    CnnScalerConfig ccfg;
+    ccfg.epochs = 3;
+    Rng rng(5);
+    const CnnScaler scaler = train_cnn_scaler(raw, target, ccfg, rng);
+
+    CnnTrainingSet set;
+    for (const RawSample& s : raw.samples) {
+      set.picks.push_back(
+          cnn_input_pick(picked_volume(s.seismic, nsrc), target, ccfg));
+      // Shot by shot, as the corpus build records it.
+      for (std::size_t k = 0; k < s.seismic.nsrc(); ++k)
+        set.max_abs =
+            std::max(set.max_abs, max_abs_amplitude(s.seismic.shot_span(k)));
+      set.targets.push_back(ForwardModelScaler(target).scale(s).waveform);
+    }
+    Rng set_rng(5);
+    const CnnScaler from_set =
+        train_cnn_scaler(std::move(set), target, ccfg, set_rng);
+
+    const DSampleScaler dsample(target);
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      const RawSample& full = raw.samples[i];
+      const RawSample cut{full.velocity, picked_volume(full.seismic, nsrc)};
+      const std::string at =
+          "nsrc " + std::to_string(nsrc) + " sample " + std::to_string(i);
+      const ScaledSample want = scaler.scale(full);
+      const ScaledSample got =
+          scaler.scale(cnn_input_pick(cut.seismic, target, ccfg), cut.velocity);
+      EXPECT_TRUE(same_bits(got.waveform, want.waveform)) << at;
+      EXPECT_TRUE(same_bits(got.velocity, want.velocity)) << at;
+      EXPECT_TRUE(same_bits(from_set.scale(full).waveform, want.waveform))
+          << at;
+
+      const ScaledSample ds_want = dsample.scale(full);
+      const ScaledSample ds_got = dsample.scale(cut);
+      EXPECT_TRUE(same_bits(ds_got.waveform, ds_want.waveform)) << at;
+      EXPECT_TRUE(same_bits(ds_got.velocity, ds_want.velocity)) << at;
+    }
+  }
 }
 
 TEST(SplitDataset, PartitionsIndices) {

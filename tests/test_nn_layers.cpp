@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/layers.h"
@@ -229,6 +232,78 @@ TEST(MaxPool2d, NonFiniteWindowsKeepTheirGradientAndNaN) {
     const std::vector<Real> got(g.data().begin(), g.data().end());
     EXPECT_EQ(got, (std::vector<Real>{0, 0, 0, 1, 1, 0, 0, 0}))
         << "fill " << fill;
+  }
+}
+
+/// MaxPool2d::forward as it was written with four-index at4() reads: the
+/// reference for the plane-pointer loop.
+Tensor reference_max_pool(const Tensor& x, std::size_t kernel,
+                          std::vector<std::size_t>& argmax) {
+  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t oh = h / kernel, ow = w / kernel;
+  Tensor y({n, c, oh, ow});
+  argmax.assign(y.numel(), 0);
+  std::size_t out_idx = 0;
+  for (std::size_t b = 0; b < n; ++b)
+    for (std::size_t ch = 0; ch < c; ++ch)
+      for (std::size_t i = 0; i < oh; ++i)
+        for (std::size_t j = 0; j < ow; ++j, ++out_idx) {
+          std::size_t best_flat =
+              ((b * c + ch) * h + i * kernel) * w + j * kernel;
+          Real best = x[best_flat];
+          for (std::size_t ki = 0; ki < kernel; ++ki)
+            for (std::size_t kj = 0; kj < kernel; ++kj) {
+              const std::size_t ih = i * kernel + ki, iw = j * kernel + kj;
+              const Real v = x.at4(b, ch, ih, iw);
+              if (v > best || (std::isnan(v) && !std::isnan(best))) {
+                best = v;
+                best_flat = ((b * c + ch) * h + ih) * w + iw;
+              }
+            }
+          y.at4(b, ch, i, j) = best;
+          argmax[out_idx] = best_flat;
+        }
+  return y;
+}
+
+bool same_bits(std::span<const Real> a, std::span<const Real> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Real)) == 0;
+}
+
+TEST(MaxPool2d, PlaneLoopMatchesFourIndexLoopBitwise) {
+  // Random shapes whose h and w are not multiples of the kernel, values
+  // with ties, NaN and -inf in some windows: outputs and routed gradients
+  // must be bitwise those of the at4() loop.
+  const Real inf = std::numeric_limits<Real>::infinity();
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  Rng rng(23);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t kernel = 1 + rng.next_u64() % 3;
+    const std::size_t n = 1 + rng.next_u64() % 3, c = 1 + rng.next_u64() % 4;
+    const std::size_t h = kernel + rng.next_u64() % 9;
+    const std::size_t w = kernel + rng.next_u64() % 9;
+    Tensor x = random_tensor({n, c, h, w}, rng);
+    for (std::size_t k = 0; k < x.numel(); ++k) {
+      const std::uint64_t r = rng.next_u64() % 16;
+      if (r == 0) x[k] = nan;
+      else if (r == 1) x[k] = -inf;
+      else if (r == 2) x[k] = 0.5;  // ties
+    }
+    std::vector<std::size_t> want_arg;
+    const Tensor want = reference_max_pool(x, kernel, want_arg);
+    MaxPool2d pool(kernel);
+    const Tensor got = pool.forward(x);
+    const std::string at = "trial " + std::to_string(trial);
+    ASSERT_EQ(got.shape(), want.shape()) << at;
+    EXPECT_TRUE(same_bits(got.data(), want.data())) << at;
+
+    const Tensor grad_out = random_tensor(want.shape(), rng);
+    Tensor want_grad(x.shape());
+    for (std::size_t k = 0; k < want_arg.size(); ++k)
+      want_grad[want_arg[k]] += grad_out[k];
+    EXPECT_TRUE(same_bits(pool.backward(grad_out).data(), want_grad.data()))
+        << at;
   }
 }
 

@@ -434,6 +434,11 @@ TEST(FdtdConformance, ListedSourcesEqualTheEverySourceShots) {
     }
   }
   set_num_threads(0);
+  // One shot on the calling thread is that shot of the full call too.
+  for (std::size_t src = 0; src < acq.num_sources; ++src)
+    EXPECT_TRUE(bitwise_equal(model_shot(models[1], acq, src).data(),
+                              every[1].shot_span(src)))
+        << "model_shot source " << src;
   // A one-source acquisition is not the middle shot of five: a lone source
   // sits at nx / 2, the middle of five at 2 * (nx - 1) / 4.
   Acquisition lone = acq;
@@ -467,6 +472,11 @@ TEST(FdtdConformance, OutOfRangeSourceThrowsBeforeAnyShotRuns) {
     }
   }
   set_num_threads(0);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)model_shot(slow, acq, 5), std::invalid_argument);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took.count(), 5.0) << "model_shot";
 }
 
 TEST(FdtdConformance, PickedSourcesPins) {
@@ -546,14 +556,17 @@ TEST(FdtdConformance, CutCorpusBuildEqualsEveryShotBuild) {
     data::ExperimentDataConfig config;
     config.num_samples = 3;
     config.train_count = 2;
-    config.cnn_train_samples = 1;
+    // Two scaler maps fold the input scale's max across maps, and at 2
+    // threads one worker models shots beside the scaler training.
+    config.cnn_train_samples = 2;
     config.seed = 77;
     config.target.nsrc = nsrc;
     config.cnn.epochs = 2;
     set_num_threads(1);
     const data::ExperimentData want = every_shot_build(config);
 
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       set_num_threads(threads);
       const std::string where =
           "target nsrc " + std::to_string(nsrc) + " threads " +
