@@ -47,39 +47,6 @@ void BM_ApplyControlledGate(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyControlledGate)->Arg(8)->Arg(12)->Arg(16);
 
-void BM_DiagonalHeavyCircuit(benchmark::State& state) {
-  // Phase-only workload: RZ/Z/S/T layers with a CZ ring — the gate mix the
-  // diagonal fast path targets (no amplitude mixing at all).
-  const auto qubits = static_cast<Index>(state.range(0));
-  qsim::Circuit c(qubits);
-  auto p = c.new_params(static_cast<std::uint32_t>(4 * qubits));
-  std::uint32_t next = p.id;
-  for (int layer = 0; layer < 4; ++layer) {
-    for (Index q = 0; q < qubits; ++q) c.rz(q, qsim::ParamRef{next++});
-    for (Index q = 0; q < qubits; ++q) {
-      c.z(q);
-      c.s(q);
-      c.t(q);
-    }
-    for (Index q = 0; q + 1 < qubits; ++q) c.cz(q, q + 1);
-  }
-  std::vector<Real> params(c.num_params());
-  Rng rng(6);
-  rng.fill_uniform(params, -1, 1);
-  qsim::StateVector psi(qubits);
-  for (Index q = 0; q < qubits; ++q)
-    psi.apply_1q(qsim::gate_matrix(qsim::GateKind::kH, {}), q);
-  for (auto _ : state) {
-    qsim::run_circuit(c, params, psi);
-    benchmark::DoNotOptimize(psi.amplitudes_mut().data());
-  }
-  // Throughput in gate applications per second (each touching O(dim) amps).
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.num_ops()));
-  state.counters["gate_ops"] = static_cast<double>(c.num_ops());
-}
-BENCHMARK(BM_DiagonalHeavyCircuit)->Arg(8)->Arg(12)->Arg(16);
-
 void BM_QuGeoAnsatzForward(benchmark::State& state) {
   const auto blocks = static_cast<std::size_t>(state.range(0));
   const core::QubitLayout layout({8}, 0);

@@ -29,8 +29,8 @@ namespace {
 
 using namespace qugeo;
 
-/// Mixing 1q matrix (all four entries nonzero) so no fast path hides the
-/// kernel under test.
+/// Mixing 1q matrix (all four entries nonzero), like the ansatz's U3
+/// blocks.
 qsim::Mat2 test_u3() { return qsim::u3_matrix(0.7, -0.3, 1.1); }
 
 void bench_apply_1q(benchmark::State& state, simd::SimdMode mode) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -49,12 +48,6 @@ inline Real normalize_l2(std::span<Real> v) noexcept {
   }
   for (Real& x : v) x /= n;
   return n;
-}
-
-/// Mean of a span (0 for empty input).
-[[nodiscard]] inline Real mean(std::span<const Real> v) noexcept {
-  if (v.empty()) return 0;
-  return std::accumulate(v.begin(), v.end(), Real(0)) / static_cast<Real>(v.size());
 }
 
 /// Complex product spelled out over real/imag parts. Bit-identical to the

@@ -7,9 +7,10 @@
 //    hardware concurrency). Workers persist across parallel_for calls, so
 //    per-call dispatch cost is a mutex/condvar round trip, not thread spawn.
 //  - Determinism by construction: iterations are only allowed to write
-//    disjoint state, and every reduction offered here runs in fixed index
-//    order on the calling thread. Results are bit-identical for any thread
-//    count (see test_common_parallel.cpp).
+//    disjoint state, and a caller that reduces over them folds the
+//    per-iteration slots in fixed index order on its own thread (the
+//    trainer's gradient fold does). Results are bit-identical for any
+//    thread count (see test_common_parallel.cpp).
 //  - Threads claim one iteration at a time; every caller's iteration is
 //    coarse (a shot, a sample, a QuBatch chunk, a trajectory slot).
 //  - The submitting thread runs iteration `begin` itself; workers claim
@@ -24,8 +25,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
-#include <vector>
 
 namespace qugeo {
 
@@ -44,19 +43,5 @@ void set_num_threads(std::size_t n);
 /// thread count and schedule.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
-
-/// Deterministic fixed-order map-reduce: maps every index in parallel into
-/// a dense slot table, then folds the slots sequentially (index order) on
-/// the calling thread. Floating-point reductions therefore do not depend
-/// on the thread count.
-template <typename T, typename MapFn, typename ReduceFn>
-[[nodiscard]] T parallel_map_reduce(std::size_t n, T init, MapFn&& map,
-                                    ReduceFn&& reduce) {
-  std::vector<T> slots(n);
-  parallel_for(0, n, [&](std::size_t i) { slots[i] = map(i); });
-  T acc = std::move(init);
-  for (std::size_t i = 0; i < n; ++i) acc = reduce(std::move(acc), std::move(slots[i]));
-  return acc;
-}
 
 }  // namespace qugeo

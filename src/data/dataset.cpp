@@ -1,6 +1,5 @@
 #include "data/dataset.h"
 
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -9,24 +8,13 @@ namespace qugeo::data {
 RawDataset generate_raw_dataset(std::size_t count,
                                 const seismic::FlatVelConfig& vel_cfg,
                                 const seismic::Acquisition& acq, Rng& rng) {
-  std::vector<std::size_t> every(acq.num_sources);
-  std::iota(every.begin(), every.end(), std::size_t{0});
-  return generate_raw_dataset(count, vel_cfg, acq, every, rng);
-}
-
-RawDataset generate_raw_dataset(std::size_t count,
-                                const seismic::FlatVelConfig& vel_cfg,
-                                const seismic::Acquisition& acq,
-                                std::span<const std::size_t> sources,
-                                Rng& rng) {
   // Every map is drawn before any shot runs; model_shots draws nothing, so
   // the rng advances exactly as a draw-then-model loop would.
   std::vector<seismic::VelocityModel> models;
   models.reserve(count);
   for (std::size_t i = 0; i < count; ++i)
     models.push_back(seismic::generate_flatvel(vel_cfg, rng));
-  std::vector<seismic::SeismicData> shots =
-      seismic::model_shots(models, acq, sources);
+  std::vector<seismic::SeismicData> shots = seismic::model_shots(models, acq);
 
   RawDataset ds;
   ds.velocity_config = vel_cfg;

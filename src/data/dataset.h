@@ -7,7 +7,6 @@
 // to [0, 1].
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -55,13 +54,6 @@ struct RawDataset {
                                               const seismic::FlatVelConfig& vel_cfg,
                                               const seismic::Acquisition& acq,
                                               Rng& rng);
-
-/// The same draws, modelling only the listed sources of each map (see
-/// seismic::model_shots); the rng advances exactly as above.
-[[nodiscard]] RawDataset generate_raw_dataset(
-    std::size_t count, const seismic::FlatVelConfig& vel_cfg,
-    const seismic::Acquisition& acq, std::span<const std::size_t> sources,
-    Rng& rng);
 
 /// One quantum-scale training pair.
 struct ScaledSample {

@@ -46,8 +46,4 @@ void Tensor::init_kaiming(Rng& rng, std::size_t fan_in) {
   rng.fill_uniform(data_, -bound, bound);
 }
 
-Tensor Tensor::zeros(std::vector<std::size_t> shape) {
-  return Tensor(std::move(shape));
-}
-
 }  // namespace qugeo::nn

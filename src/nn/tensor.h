@@ -61,8 +61,6 @@ class Tensor {
   /// Kaiming-uniform initialization with the given fan-in.
   void init_kaiming(Rng& rng, std::size_t fan_in);
 
-  [[nodiscard]] static Tensor zeros(std::vector<std::size_t> shape);
-
  private:
   std::vector<std::size_t> shape_;
   std::vector<Real> data_;

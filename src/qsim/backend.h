@@ -25,7 +25,7 @@
 namespace qugeo::qsim {
 
 enum class BackendKind : std::uint8_t {
-  kStatevector,    ///< exact pure-state simulation (fast-path kernels)
+  kStatevector,    ///< exact pure-state simulation
   kDensityMatrix,  ///< exact mixed-state simulation with exact channels
   kTrajectory,     ///< noise-trajectory sampling over the thread pool
 };

@@ -10,32 +10,14 @@
 namespace qugeo::qsim {
 namespace {
 
-/// Apply the (possibly controlled) 2x2 block `u` of gate `kind`, routing to
-/// the specialized diagonal / anti-diagonal kernels by gate class. SWAP and
+/// Apply the (possibly controlled) 2x2 block `u` of gate `kind`. SWAP and
 /// identity are handled by the callers.
 void apply_block(GateKind kind, const Mat2& u, const std::array<Index, 2>& qubits,
                  StateVector& psi) {
-  const bool controlled = gate_is_controlled_1q(kind);
-  switch (gate_class(kind)) {
-    case GateClass::kDiagonal:
-      if (controlled)
-        psi.apply_controlled_diag_1q(u(0, 0), u(1, 1), qubits[0], qubits[1]);
-      else
-        psi.apply_diag_1q(u(0, 0), u(1, 1), qubits[0]);
-      return;
-    case GateClass::kAntiDiagonal:
-      if (controlled)
-        psi.apply_controlled_antidiag_1q(u(0, 1), u(1, 0), qubits[0], qubits[1]);
-      else
-        psi.apply_antidiag_1q(u(0, 1), u(1, 0), qubits[0]);
-      return;
-    case GateClass::kGeneric:
-      if (controlled)
-        psi.apply_controlled_1q(u, qubits[0], qubits[1]);
-      else
-        psi.apply_1q(u, qubits[0]);
-      return;
-  }
+  if (gate_is_controlled_1q(kind))
+    psi.apply_controlled_1q(u, qubits[0], qubits[1]);
+  else
+    psi.apply_1q(u, qubits[0]);
 }
 
 /// Scalar pair pass of the adjoint sweep for one parameterized gate. Over

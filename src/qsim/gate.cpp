@@ -79,34 +79,6 @@ int gate_qubit_count(GateKind kind) noexcept {
   return 1;
 }
 
-GateClass gate_class(GateKind kind) noexcept {
-  switch (kind) {
-    case GateKind::kI:
-    case GateKind::kZ:
-    case GateKind::kS:
-    case GateKind::kSdg:
-    case GateKind::kT:
-    case GateKind::kTdg:
-    case GateKind::kRZ:
-    case GateKind::kPhase:
-    case GateKind::kCZ:
-      return GateClass::kDiagonal;
-    case GateKind::kX:
-    case GateKind::kY:
-    case GateKind::kCX:
-      return GateClass::kAntiDiagonal;
-    case GateKind::kH:
-    case GateKind::kRX:
-    case GateKind::kRY:
-    case GateKind::kU3:
-    case GateKind::kCRY:
-    case GateKind::kCU3:
-    case GateKind::kSWAP:  // dispatched before class-based selection
-      return GateClass::kGeneric;
-  }
-  return GateClass::kGeneric;
-}
-
 bool gate_is_controlled_1q(GateKind kind) noexcept {
   switch (kind) {
     case GateKind::kCX:

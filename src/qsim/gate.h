@@ -37,19 +37,6 @@ enum class GateKind : std::uint8_t {
   kSWAP,
 };
 
-/// Structural class of a gate's 2x2 block (for controlled gates, of the
-/// target block). Drives kernel dispatch in the executor: diagonal blocks
-/// need no cross terms, anti-diagonal blocks are pure amplitude swaps.
-enum class GateClass : std::uint8_t {
-  kGeneric,       ///< dense 2x2: H, RX, RY, U3, CRY, CU3
-  kDiagonal,      ///< phase-only: I, Z, S, Sdg, T, Tdg, RZ, Phase, CZ
-  kAntiDiagonal,  ///< off-diagonal-only: X, Y, CX
-};
-
-/// Kernel class of the gate's 2x2 block (SWAP reports kGeneric; it is
-/// dispatched before class-based selection).
-[[nodiscard]] GateClass gate_class(GateKind kind) noexcept;
-
 /// 2x2 complex matrix in row-major order.
 struct Mat2 {
   std::array<Complex, 4> m{};  // [row*2 + col]

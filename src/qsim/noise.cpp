@@ -42,7 +42,7 @@ Real kraus_weight(const StateVector& psi, const Mat2& k, Index q) {
 void apply_readout_trajectory(StateVector& psi, Real e, Rng& rng) {
   if (e <= 0) return;
   for (Index q = 0; q < psi.num_qubits(); ++q)
-    if (rng.bernoulli(e)) psi.apply_antidiag_1q(Complex{1, 0}, Complex{1, 0}, q);
+    if (rng.bernoulli(e)) psi.apply_1q(kPauliX, q);
 }
 
 void scale_state(StateVector& psi, Real factor) {

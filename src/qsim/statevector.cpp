@@ -11,8 +11,6 @@
 namespace qugeo::qsim {
 
 namespace {
-constexpr Complex kOne{1, 0};
-
 /// One relaxed load per kernel call decides scalar vs AVX2 dispatch; the
 /// scalar bodies below are byte-for-byte the pre-SIMD kernels, so
 /// QUGEO_SIMD=scalar reproduces historical results bit-exactly.
@@ -25,11 +23,6 @@ StateVector::StateVector(Index num_qubits) : num_qubits_(num_qubits) {
   if (num_qubits > 28)
     throw std::invalid_argument("StateVector: too many qubits for dense sim");
   amps_.assign(Index{1} << num_qubits, Complex{0, 0});
-  amps_[0] = Complex{1, 0};
-}
-
-void StateVector::reset() {
-  std::fill(amps_.begin(), amps_.end(), Complex{0, 0});
   amps_[0] = Complex{1, 0};
 }
 
@@ -75,50 +68,6 @@ void StateVector::apply_1q(const Mat2& u, Index q) {
   }
 }
 
-void StateVector::apply_diag_1q(Complex d0, Complex d1, Index q) {
-  assert(q < num_qubits_);
-  const Index stride = Index{1} << q;
-  const Index half = amps_.size() / 2;
-  Complex* a = amps_.data();
-  if (d0 == kOne && d1 == kOne) return;  // identity
-  if (d0 == kOne) {
-    // Z/S/T/Phase (and RZ up to global phase do not hit this): only the
-    // q=|1> half-space picks up a phase.
-    for (Index j = 0; j < half; ++j) {
-      const Index i1 = insert_zero_bit(j, q) | stride;
-      a[i1] = cmul(a[i1], d1);
-    }
-    return;
-  }
-  for (Index j = 0; j < half; ++j) {
-    const Index i0 = insert_zero_bit(j, q);
-    const Index i1 = i0 | stride;
-    a[i0] = cmul(a[i0], d0);
-    a[i1] = cmul(a[i1], d1);
-  }
-}
-
-void StateVector::apply_antidiag_1q(Complex a01, Complex a10, Index q) {
-  assert(q < num_qubits_);
-  const Index stride = Index{1} << q;
-  const Index half = amps_.size() / 2;
-  Complex* a = amps_.data();
-  if (a01 == kOne && a10 == kOne) {  // X: pure swap
-    for (Index j = 0; j < half; ++j) {
-      const Index i0 = insert_zero_bit(j, q);
-      std::swap(a[i0], a[i0 | stride]);
-    }
-    return;
-  }
-  for (Index j = 0; j < half; ++j) {
-    const Index i0 = insert_zero_bit(j, q);
-    const Index i1 = i0 | stride;
-    const Complex a0 = a[i0];
-    a[i0] = cmul(a01, a[i1]);
-    a[i1] = cmul(a10, a0);
-  }
-}
-
 void StateVector::apply_controlled_1q(const Mat2& u, Index control, Index target) {
   assert(control < num_qubits_ && target < num_qubits_ && control != target);
   if (use_avx2()) {
@@ -142,57 +91,6 @@ void StateVector::apply_controlled_1q(const Mat2& u, Index control, Index target
     const Complex a1 = a[i1];
     a[i0] = cmul(u00, a0) + cmul(u01, a1);
     a[i1] = cmul(u10, a0) + cmul(u11, a1);
-  }
-}
-
-void StateVector::apply_controlled_diag_1q(Complex d0, Complex d1,
-                                           Index control, Index target) {
-  assert(control < num_qubits_ && target < num_qubits_ && control != target);
-  const Index cmask = Index{1} << control;
-  const Index tmask = Index{1} << target;
-  const Index lo = control < target ? control : target;
-  const Index hi = control < target ? target : control;
-  const Index quarter = amps_.size() / 4;
-  Complex* a = amps_.data();
-  if (d0 == kOne && d1 == kOne) return;
-  if (d0 == kOne) {
-    // CZ/CS/CT: only the control=target=|1> quarter-space is touched.
-    for (Index j = 0; j < quarter; ++j) {
-      const Index i1 = insert_two_zero_bits(j, lo, hi) | cmask | tmask;
-      a[i1] = cmul(a[i1], d1);
-    }
-    return;
-  }
-  for (Index j = 0; j < quarter; ++j) {
-    const Index i0 = insert_two_zero_bits(j, lo, hi) | cmask;
-    const Index i1 = i0 | tmask;
-    a[i0] = cmul(a[i0], d0);
-    a[i1] = cmul(a[i1], d1);
-  }
-}
-
-void StateVector::apply_controlled_antidiag_1q(Complex a01, Complex a10,
-                                               Index control, Index target) {
-  assert(control < num_qubits_ && target < num_qubits_ && control != target);
-  const Index cmask = Index{1} << control;
-  const Index tmask = Index{1} << target;
-  const Index lo = control < target ? control : target;
-  const Index hi = control < target ? target : control;
-  const Index quarter = amps_.size() / 4;
-  Complex* a = amps_.data();
-  if (a01 == kOne && a10 == kOne) {  // CX: swap inside the control half
-    for (Index j = 0; j < quarter; ++j) {
-      const Index i0 = insert_two_zero_bits(j, lo, hi) | cmask;
-      std::swap(a[i0], a[i0 | tmask]);
-    }
-    return;
-  }
-  for (Index j = 0; j < quarter; ++j) {
-    const Index i0 = insert_two_zero_bits(j, lo, hi) | cmask;
-    const Index i1 = i0 | tmask;
-    const Complex a0 = a[i0];
-    a[i0] = cmul(a01, a[i1]);
-    a[i1] = cmul(a10, a0);
   }
 }
 

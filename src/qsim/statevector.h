@@ -25,9 +25,6 @@ class StateVector {
   [[nodiscard]] std::span<Complex> amplitudes_mut() noexcept { return amps_; }
   [[nodiscard]] Complex amplitude(Index k) const { return amps_.at(k); }
 
-  /// Reset to |0...0>.
-  void reset();
-
   /// Overwrite amplitudes from a complex span (must have length dim()).
   void set_amplitudes(std::span<const Complex> amps);
 
@@ -40,26 +37,8 @@ class StateVector {
   /// Apply a 2x2 unitary (or any 2x2 linear map) to qubit `q`.
   void apply_1q(const Mat2& u, Index q);
 
-  /// Fast path: apply diag(d0, d1) to qubit `q` (phase-only, no cross
-  /// terms). When d0 == 1 only the q=|1> half-space is touched.
-  void apply_diag_1q(Complex d0, Complex d1, Index q);
-
-  /// Fast path: apply [[0, a01], [a10, 0]] to qubit `q` (pure amplitude
-  /// swap; a01 == a10 == 1 degenerates to std::swap per pair, i.e. X).
-  void apply_antidiag_1q(Complex a01, Complex a10, Index q);
-
   /// Apply a 2x2 map to `target` on the control=|1> subspace only.
   void apply_controlled_1q(const Mat2& u, Index control, Index target);
-
-  /// Fast path: controlled diag(d0, d1). When d0 == 1 (Z, S, T, phase)
-  /// only the control=target=|1> quarter-space is touched — CZ costs one
-  /// multiply per 4 amplitudes.
-  void apply_controlled_diag_1q(Complex d0, Complex d1, Index control,
-                                Index target);
-
-  /// Fast path: controlled [[0, a01], [a10, 0]] (CX when both are 1).
-  void apply_controlled_antidiag_1q(Complex a01, Complex a10, Index control,
-                                    Index target);
 
   /// Swap qubits a and b.
   void apply_swap(Index a, Index b);

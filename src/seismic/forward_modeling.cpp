@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -114,31 +113,22 @@ SeismicData model_shots(const VelocityModel& model, const Acquisition& acq) {
 
 std::vector<SeismicData> model_shots(std::span<const VelocityModel> models,
                                      const Acquisition& acq) {
-  std::vector<std::size_t> every(acq.num_sources);
-  std::iota(every.begin(), every.end(), std::size_t{0});
-  return model_shots(models, acq, every);
-}
-
-std::vector<SeismicData> model_shots(std::span<const VelocityModel> models,
-                                     const Acquisition& acq,
-                                     std::span<const std::size_t> sources) {
   const RickerWavelet wavelet(acq.wavelet_freq_hz);
   std::vector<ShotPlan> plans;
   plans.reserve(models.size());
   for (const VelocityModel& model : models)
     plans.push_back(plan_shots(model, acq));
-  for (std::size_t s : sources) check_source(s, acq);
 
+  const std::size_t nsrc = acq.num_sources;
   std::vector<SeismicData> data(
       models.size(),
-      SeismicData(sources.size(), acq.num_time_samples, acq.num_receivers));
+      SeismicData(nsrc, acq.num_time_samples, acq.num_receivers));
   // Shots are independent wave propagations writing disjoint gathers; one
   // fan-out over every (model, shot) pair keeps the pool full across
   // models instead of draining it at each model's last shot.
-  const std::size_t nsrc = sources.size();
   parallel_for(0, models.size() * nsrc, [&](std::size_t i) {
-    const std::size_t m = i / nsrc, k = i % nsrc;
-    data[m].set_shot(k, run_shot(models[m], plans[m], wavelet, sources[k]));
+    const std::size_t m = i / nsrc, s = i % nsrc;
+    data[m].set_shot(s, run_shot(models[m], plans[m], wavelet, s));
   });
   return data;
 }

@@ -3,19 +3,20 @@
 //   * the OpenFWI full scale — 5 sources x 1000 time steps x 70 receivers
 //     over a 70x70 velocity map, 15 Hz Ricker;
 //   * the quantum scale used by Q-D-FW — the velocity map downsampled to
-//     8x8 and re-modelled with an 8 Hz Ricker into 4 sources x 8 time
-//     samples x 8 receivers = 256 values (Sec. 3.1.1, Fig. 6).
+//     8x8 and re-modelled with an 8 Hz Ricker into 1 source x 32 time
+//     samples x 8 receivers = 256 values (Sec. 3.1.1, Fig. 6). The
+//     32-sample axis keeps the recording's Nyquist frequency (16 Hz) above
+//     the 8 Hz source (data::ScaleTarget).
 //
 // Parallelism: a shot is the unit of work. model_shots runs every
 // (model, shot) pair of its input as one pool fan-out, each shot's FDTD
 // sweep inline on its worker, each gather into its own slot, so the data
 // is bitwise the same for any QUGEO_THREADS value and any grouping of
-// models or sources into calls. A call may run a list of the acquisition's
-// sources instead of all of them; a listed shot keeps the geometry of the
-// every-source call, so it is bitwise that call's shot; so is one shot of
-// model_shot, which runs on the calling thread. Invalid models,
-// acquisitions and source indices throw std::invalid_argument on the
-// calling thread before any shot runs.
+// models into calls. model_shot runs one source on the calling thread, for
+// callers that fan shots out themselves; it keeps the geometry of the
+// every-source call, so its gather is bitwise that call's shot. Invalid
+// models, acquisitions and source indices throw std::invalid_argument on
+// the calling thread before any shot runs.
 #pragma once
 
 #include <span>
@@ -54,15 +55,6 @@ struct Acquisition {
 /// element i equals model_shots(models[i], acq) bitwise.
 [[nodiscard]] std::vector<SeismicData> model_shots(
     std::span<const VelocityModel> models, const Acquisition& acq);
-
-/// Only the listed sources of every model, in one pool fan-out. Element i
-/// holds sources.size() shots in list order (repeats allowed), and shot k
-/// equals shot sources[k] of model_shots(models[i], acq) bitwise: the
-/// sources still sit where acq.num_sources of them would. An index
-/// >= acq.num_sources throws std::invalid_argument.
-[[nodiscard]] std::vector<SeismicData> model_shots(
-    std::span<const VelocityModel> models, const Acquisition& acq,
-    std::span<const std::size_t> sources);
 
 /// One shot, on the calling thread: source `source` of acq over `model`,
 /// bitwise shot `source` of model_shots(model, acq). For callers that run

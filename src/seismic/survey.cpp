@@ -33,6 +33,7 @@ SeismicData::SeismicData(std::size_t nsrc, std::size_t nt, std::size_t nrec)
     : nsrc_(nsrc), nt_(nt), nrec_(nrec), data_(nsrc * nt * nrec, Real(0)) {}
 
 void SeismicData::set_shot(std::size_t s, const ShotGather& shot) {
+  if (s >= nsrc_) throw std::out_of_range("SeismicData::set_shot");
   if (shot.nt() != nt_ || shot.nrec() != nrec_)
     throw std::invalid_argument("SeismicData::set_shot: shape mismatch");
   std::copy(shot.data().begin(), shot.data().end(),

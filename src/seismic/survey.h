@@ -75,7 +75,8 @@ class SeismicData {
     return data_[(s * nt_ + t) * nrec_ + r];
   }
 
-  /// Copy one shot in.
+  /// Copy one shot in. Throws std::out_of_range for s >= nsrc() and
+  /// std::invalid_argument for a gather of another shape.
   void set_shot(std::size_t s, const ShotGather& shot);
 
   /// Contiguous view of one shot's samples.

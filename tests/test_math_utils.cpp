@@ -46,11 +46,5 @@ TEST(MathUtils, NormalizeZeroVector) {
   EXPECT_EQ(v[1], 0.0);
 }
 
-TEST(MathUtils, MeanOfSpan) {
-  const std::vector<Real> v = {1, 2, 3, 4};
-  EXPECT_NEAR(mean(v), 2.5, 1e-12);
-  EXPECT_EQ(mean(std::span<const Real>{}), 0.0);
-}
-
 }  // namespace
 }  // namespace qugeo

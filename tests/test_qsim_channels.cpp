@@ -72,7 +72,7 @@ TEST(Channels, AmplitudeDampingOfExcitedState) {
   // gamma |0><0| + (1-gamma) |1><1| — the T1 decay fixture.
   const Real gamma = 0.3;
   StateVector one(1);
-  one.apply_antidiag_1q(Complex{1, 0}, Complex{1, 0}, 0);  // X|0> = |1>
+  one.apply_1q(gate_matrix(GateKind::kX, {}), 0);  // X|0> = |1>
   DensityMatrix rho = DensityMatrix::from_state(one);
   rho.apply_kraus(kraus_ops(NoiseChannel::kAmplitudeDamping, gamma), 0);
 

@@ -1,7 +1,8 @@
-// Kernel-equivalence suite: every specialized fast path the executor can
-// dispatch to (diagonal, anti-diagonal, branch-free controlled, SWAP
-// half-space) must agree with the generic dense 2x2 application on random
-// states — the specialized kernels are optimizations, never semantics.
+// Kernel-equivalence suite: every gate kind, applied by the executor
+// through the statevector kernels (apply_1q, the branch-free
+// apply_controlled_1q, the SWAP half-space loop), must agree with the
+// textbook dense loops on random states, and the AVX2 kernels with the
+// scalar ones.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,7 +35,7 @@ std::vector<Complex> random_amplitudes(Index dim, Rng& rng) {
 }
 
 // Reference implementations: the textbook dense loops the seed shipped
-// with, kept verbatim so the fast paths are checked against known-good
+// with, kept verbatim so the kernels are checked against known-good
 // semantics rather than against themselves.
 
 void ref_apply_1q(std::vector<Complex>& amps, const Mat2& u, Index q) {
@@ -170,53 +171,6 @@ TEST(KernelEquivalence, InverseUndoesForward) {
   }
 }
 
-TEST(KernelEquivalence, DirectKernelsAgainstReference) {
-  // The specialized entry points themselves (not via apply_op dispatch),
-  // including the non-unit diagonal/anti-diagonal branches.
-  Rng rng(14);
-  const Index nq = 6;
-  const auto amps = random_amplitudes(Index{1} << nq, rng);
-  const Complex d0{0.6, -0.8}, d1{0.28, 0.96};
-  const Complex a01{0.0, -1.0}, a10{0.0, 1.0};
-
-  {
-    Mat2 u{};
-    u(0, 0) = d0;
-    u(1, 1) = d1;
-    StateVector psi(nq);
-    psi.set_amplitudes(amps);
-    psi.apply_diag_1q(d0, d1, 3);
-    auto want = amps;
-    ref_apply_1q(want, u, 3);
-    expect_amps_near(psi.amplitudes(), want, "diag");
-
-    StateVector cpsi(nq);
-    cpsi.set_amplitudes(amps);
-    cpsi.apply_controlled_diag_1q(d0, d1, 5, 1);
-    auto cwant = amps;
-    ref_apply_controlled_1q(cwant, u, 5, 1);
-    expect_amps_near(cpsi.amplitudes(), cwant, "cdiag");
-  }
-  {
-    Mat2 u{};
-    u(0, 1) = a01;
-    u(1, 0) = a10;
-    StateVector psi(nq);
-    psi.set_amplitudes(amps);
-    psi.apply_antidiag_1q(a01, a10, 2);
-    auto want = amps;
-    ref_apply_1q(want, u, 2);
-    expect_amps_near(psi.amplitudes(), want, "antidiag");
-
-    StateVector cpsi(nq);
-    cpsi.set_amplitudes(amps);
-    cpsi.apply_controlled_antidiag_1q(a01, a10, 0, 4);
-    auto cwant = amps;
-    ref_apply_controlled_1q(cwant, u, 0, 4);
-    expect_amps_near(cpsi.amplitudes(), cwant, "cantidiag");
-  }
-}
-
 TEST(KernelEquivalence, SwapMatchesReferenceAllQubitPairs) {
   Rng rng(15);
   const Index nq = 5;
@@ -233,8 +187,8 @@ TEST(KernelEquivalence, SwapMatchesReferenceAllQubitPairs) {
     }
 }
 
-TEST(KernelEquivalence, AdjointGradientsMatchParameterShiftOnFastPathCircuit) {
-  // A circuit that exercises every specialized dispatch class with
+TEST(KernelEquivalence, AdjointGradientsMatchParameterShiftOnMixedGateCircuit) {
+  // Diagonal, anti-diagonal and dense gates, literal and controlled, with
   // trainable angles where the parameter-shift rule applies.
   Rng rng(16);
   const Index nq = 4;

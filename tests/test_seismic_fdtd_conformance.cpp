@@ -7,10 +7,10 @@
 // SIMD levels. Also pins the corpus fan-outs: generate_raw_dataset's flat
 // shot fan-out against per-model model_shots, and the pooled Q-D-FW
 // dataset against serial scale(), at 1 and 4 threads. And the cut corpus:
-// model_shots over a source list against the every-source call, the
-// picked_sources formula, and load_or_build_experiment_data, which models
-// only the picked shots of its corpus maps, against a test-local copy of
-// the build that modelled every shot (datasets and cache files bitwise).
+// one-shot model_shot against the every-source call, the picked_sources
+// formula, and load_or_build_experiment_data, which models only the picked
+// shots of its corpus maps, against a test-local copy of the build that
+// modelled every shot (datasets and cache files bitwise).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -408,7 +408,7 @@ TEST(FdtdConformance, PooledQdfwDatasetEqualsSerialScale) {
   set_num_threads(0);
 }
 
-TEST(FdtdConformance, ListedSourcesEqualTheEverySourceShots) {
+TEST(FdtdConformance, ModelShotEqualsThatShotOfTheEverySourceCall) {
   Acquisition acq = small_acquisition();
   acq.num_sources = 5;
   Rng rng(47);
@@ -417,66 +417,34 @@ TEST(FdtdConformance, ListedSourcesEqualTheEverySourceShots) {
     models.push_back(generate_flatvel(small_flatvel(), rng));
   const std::vector<SeismicData> every = model_shots(models, acq);
 
-  // Out of order, with a repeat: shot k is shot list[k] of the full call.
-  const std::vector<std::size_t> list = {4, 0, 2, 2};
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    set_num_threads(threads);
-    const std::vector<SeismicData> got = model_shots(models, acq, list);
-    ASSERT_EQ(got.size(), models.size());
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      ASSERT_EQ(got[m].nsrc(), list.size());
-      EXPECT_EQ(got[m].nt(), every[m].nt());
-      EXPECT_EQ(got[m].nrec(), every[m].nrec());
-      for (std::size_t k = 0; k < list.size(); ++k)
-        EXPECT_TRUE(bitwise_equal(got[m].shot_span(k),
-                                  every[m].shot_span(list[k])))
-            << "threads " << threads << " model " << m << " entry " << k;
-    }
-  }
-  set_num_threads(0);
-  // One shot on the calling thread is that shot of the full call too.
-  for (std::size_t src = 0; src < acq.num_sources; ++src)
-    EXPECT_TRUE(bitwise_equal(model_shot(models[1], acq, src).data(),
-                              every[1].shot_span(src)))
-        << "model_shot source " << src;
+  // One shot on the calling thread is that shot of the full call.
+  for (std::size_t m = 0; m < models.size(); ++m)
+    for (std::size_t src = 0; src < acq.num_sources; ++src)
+      EXPECT_TRUE(bitwise_equal(model_shot(models[m], acq, src).data(),
+                                every[m].shot_span(src)))
+          << "model " << m << " source " << src;
   // A one-source acquisition is not the middle shot of five: a lone source
   // sits at nx / 2, the middle of five at 2 * (nx - 1) / 4.
   Acquisition lone = acq;
   lone.num_sources = 1;
-  EXPECT_FALSE(bitwise_equal(model_shots(models[0], lone).data(),
+  EXPECT_FALSE(bitwise_equal(model_shot(models[0], lone, 0).data(),
                              every[0].shot_span(2)));
-  // An empty list models nothing.
-  const std::vector<SeismicData> none =
-      model_shots(models, acq, std::span<const std::size_t>{});
-  ASSERT_EQ(none.size(), models.size());
-  EXPECT_EQ(none[0].nsrc(), 0u);
 }
 
 TEST(FdtdConformance, OutOfRangeSourceThrowsBeforeAnyShotRuns) {
   // Grid spacing of 0.1 mm puts tens of millions of steps in one shot, so
-  // a check made after (or beside) the valid shots would take minutes.
+  // a check made after the shot would take minutes.
   const VelocityModel slow(Grid2D{8, 8, 1e-4, 1e-4}, 4500.0);
   Acquisition acq = small_acquisition();
   acq.num_sources = 5;
   acq.num_time_samples = 4;
-  const std::vector<VelocityModel> models = {slow};
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    set_num_threads(threads);
-    for (const std::vector<std::size_t>& list :
-         {std::vector<std::size_t>{0, 1, 5}, std::vector<std::size_t>{99}}) {
-      const auto t0 = std::chrono::steady_clock::now();
-      EXPECT_THROW((void)model_shots(models, acq, list), std::invalid_argument);
-      const std::chrono::duration<double> took =
-          std::chrono::steady_clock::now() - t0;
-      EXPECT_LT(took.count(), 5.0) << "threads " << threads;
-    }
+  for (std::size_t src : {std::size_t{5}, std::size_t{99}}) {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW((void)model_shot(slow, acq, src), std::invalid_argument);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(took.count(), 5.0) << "source " << src;
   }
-  set_num_threads(0);
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)model_shot(slow, acq, 5), std::invalid_argument);
-  const std::chrono::duration<double> took =
-      std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(took.count(), 5.0) << "model_shot";
 }
 
 TEST(FdtdConformance, PickedSourcesPins) {

@@ -42,6 +42,7 @@ TEST(Survey, SeismicDataLayoutIsSourceMajor) {
 TEST(Survey, SetShotValidatesShape) {
   SeismicData d(2, 3, 4);
   EXPECT_THROW(d.set_shot(0, ShotGather(3, 5)), std::invalid_argument);
+  EXPECT_THROW(d.set_shot(2, ShotGather(3, 4)), std::out_of_range);
   EXPECT_THROW((void)d.shot_span(2), std::out_of_range);
 }
 
