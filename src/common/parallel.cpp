@@ -1,6 +1,7 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -20,6 +21,33 @@ namespace {
 /// Set while the current thread is executing pool work; nested
 /// parallel_for calls detect it and run inline.
 thread_local bool tl_in_pool_worker = false;
+
+/// How long an idle worker, or a submitter waiting for stragglers, polls
+/// before it blocks on a condvar. Back-to-back fan-outs (the trainer's
+/// gradient groups, predict chunks, served batches) then hand off through
+/// an atomic instead of a futex sleep and wake.
+constexpr std::chrono::microseconds kSpinBudget{500};
+
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// Poll `ready` until it holds or kSpinBudget has passed, pausing between
+/// polls and yielding the core every 64 of them; returns whether it holds.
+template <typename Ready>
+bool spin_until(Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (;;) {
+    for (int k = 0; k < 64; ++k) {
+      if (ready()) return true;
+      cpu_relax();
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return ready();
+    std::this_thread::yield();
+  }
+}
 
 /// One fan-out: the submitter's iteration body plus atomic work-stealing
 /// cursors. Held by shared_ptr so a worker that wakes late (after the
@@ -98,16 +126,18 @@ class Pool {
     {
       MutexLock lk(mutex_);
       current_ = task;
-      ++generation_;
+      generation_.fetch_add(1, std::memory_order_release);
     }
     wake_.notify_all();
 
     work_on(*task, /*submitter=*/true);  // the submitter is pool member #0
 
-    {
+    const auto all_done = [&] {
+      return task->done.load(std::memory_order_acquire) == task->count;
+    };
+    if (!spin_until(all_done)) {
       MutexLock lk(mutex_);
-      while (task->done.load(std::memory_order_acquire) != task->count)
-        done_.wait(mutex_);
+      while (!all_done()) done_.wait(mutex_);
     }
     if (task->failed.load(std::memory_order_acquire)) {
       std::exception_ptr error;
@@ -185,12 +215,17 @@ class Pool {
   void worker_loop() QUGEO_EXCLUDES(mutex_) {
     std::uint64_t seen = 0;
     for (;;) {
+      // Poll for the next fan-out (or a stop) before blocking.
+      spin_until([&] {
+        return generation_.load(std::memory_order_acquire) != seen;
+      });
       std::shared_ptr<Task> task;
       {
         MutexLock lk(mutex_);
-        while (!stop_ && generation_ == seen) wake_.wait(mutex_);
+        while (!stop_ && generation_.load(std::memory_order_relaxed) == seen)
+          wake_.wait(mutex_);
         if (stop_) return;
-        seen = generation_;
+        seen = generation_.load(std::memory_order_relaxed);
         task = current_;
       }
       if (task) work_on(*task);
@@ -215,6 +250,9 @@ class Pool {
     {
       MutexLock lk(mutex_);
       stop_ = true;
+      current_.reset();
+      // Ends the spin of idle workers, which then read stop_ under the lock.
+      generation_.fetch_add(1, std::memory_order_release);
     }
     wake_.notify_all();
     for (std::thread& t : workers_) t.join();
@@ -225,11 +263,13 @@ class Pool {
   std::size_t target_threads_ QUGEO_GUARDED_BY(config_mutex_) = 1;
   std::vector<std::thread> workers_ QUGEO_GUARDED_BY(config_mutex_);
 
-  Mutex mutex_;  ///< guards current_ / generation_ / stop_
+  Mutex mutex_;  ///< guards current_ / stop_ and every generation_ bump
   CondVar wake_;
   CondVar done_;
   std::shared_ptr<Task> current_ QUGEO_GUARDED_BY(mutex_);
-  std::uint64_t generation_ QUGEO_GUARDED_BY(mutex_) = 0;
+  /// Bumped under mutex_ whenever current_ or stop_ changes, so the
+  /// condvar wait sees every bump; spinning workers read it lock-free.
+  std::atomic<std::uint64_t> generation_{0};
   bool stop_ QUGEO_GUARDED_BY(mutex_) = false;
 };
 

@@ -4,8 +4,18 @@
 //
 // Design rules:
 //  - One global pool, sized once from the QUGEO_THREADS env var (default:
-//    hardware concurrency). Workers persist across parallel_for calls, so
-//    per-call dispatch cost is a mutex/condvar round trip, not thread spawn.
+//    hardware concurrency). Workers persist across parallel_for calls.
+//  - Spin-then-block handoff: a worker that runs out of claims, and a
+//    submitter waiting for stragglers, poll an atomic counter (the fan-out
+//    generation, the task's done count) for 500 us of wall time, pausing
+//    and yielding while they poll, before they block on a condvar. A
+//    fan-out that follows the last within that budget (the trainer's next
+//    gradient group, the next predict or served batch) so costs an atomic
+//    handoff, not a futex sleep and wake. On a 4-vCPU Xeon VM, one
+//    4-iteration fan-out at 4 threads, back to back with 20 us of serial
+//    work between, costs 2.7-3.2 us over its work (median of 2,000, 4 x
+//    20 us or 4 x 127 us of work) against 14-18 us for the condvar
+//    handoff alone.
 //  - Determinism by construction: iterations are only allowed to write
 //    disjoint state, and a caller that reduces over them folds the
 //    per-iteration slots in fixed index order on its own thread (the

@@ -8,18 +8,28 @@
 #include "qsim/observables.h"
 
 namespace qugeo::core {
+namespace {
+
+std::vector<Real> initial_angles(std::size_t n, Real range, Rng& rng) {
+  std::vector<Real> theta(n);
+  rng.fill_uniform(theta, -range, range);
+  return theta;
+}
+
+}  // namespace
 
 QuGeoModel::QuGeoModel(const ModelConfig& config, Rng& init_rng)
     : config_(config),
       exec_(qsim::apply_env_overrides(config.execution)),
-      layout_(config.group_data_qubits, config.batch_log2),
-      ansatz_(build_qugeo_ansatz(layout_, config.ansatz)),
-      encoder_(layout_),
-      decoder_(make_decoder(config.decoder, layout_, config.vel_rows,
-                            config.vel_cols)) {
-  theta_.resize(ansatz_.num_params());
-  init_rng.fill_uniform(theta_, -config.param_init_range, config.param_init_range);
-}
+      layout_(std::make_unique<const QubitLayout>(config.group_data_qubits,
+                                                   config.batch_log2)),
+      ansatz_(build_qugeo_ansatz(*layout_, config.ansatz)),
+      encoder_(*layout_),
+      decoder_(make_decoder(config.decoder, *layout_, config.vel_rows,
+                            config.vel_cols)),
+      theta_(initial_angles(ansatz_.num_params(), config.param_init_range,
+                            init_rng)),
+      binding_(ansatz_, theta_) {}
 
 std::vector<Real> QuGeoModel::parameters() const {
   std::vector<Real> p;
@@ -37,6 +47,7 @@ void QuGeoModel::set_parameters(std::span<const Real> params) {
             theta_.begin());
   for (std::size_t i = 0; i < decoder_->num_classical_params(); ++i)
     decoder_->set_classical_param(i, params[theta_.size() + i]);
+  binding_ = qsim::Binding(ansatz_, theta_);
 }
 
 qsim::StateVector QuGeoModel::run_forward(
@@ -44,7 +55,7 @@ qsim::StateVector QuGeoModel::run_forward(
   std::vector<const std::vector<Real>*> waves(chunk.size());
   for (std::size_t i = 0; i < chunk.size(); ++i) waves[i] = &chunk[i]->waveform;
   qsim::StateVector psi = encoder_.encode(waves);
-  qsim::run_circuit(ansatz_, theta_, psi);
+  qsim::run_circuit(ansatz_, binding_, psi);
   return psi;
 }
 
@@ -74,7 +85,7 @@ std::vector<Real> QuGeoModel::run_forward_probabilities(
   return fault::retry_on_transient(
       "circuit execution (chunk stream " + std::to_string(stream) + ")",
       fault::RetryPolicy{}, [&]() -> std::vector<Real> {
-        return qsim::run_probabilities(chunk_exec, ansatz_, theta_,
+        return qsim::run_probabilities(chunk_exec, ansatz_, binding_,
                                        encoder_.encode(waves));
       });
 }
@@ -138,7 +149,7 @@ Real QuGeoModel::loss_and_gradient(
   const std::vector<Complex> cot =
       qsim::cotangent_from_probability_grads(psi, dp);
   const qsim::AdjointResult adj =
-      qsim::adjoint_backward(ansatz_, theta_, std::move(psi), cot);
+      qsim::adjoint_backward(ansatz_, binding_, std::move(psi), cot);
   for (std::size_t i = 0; i < adj.param_grads.size(); ++i)
     grad_out[i] += adj.param_grads[i];
 

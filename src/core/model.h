@@ -20,7 +20,10 @@
 // Training gradients (loss_and_gradient) always use the exact noiseless
 // statevector + adjoint path, mirroring the paper's noiseless training; the
 // backend choice governs how the trained model is *read out*. Both paths
-// execute the ansatz as built.
+// execute the ansatz as built, from one qsim::Binding of the ansatz that
+// the model rebuilds whenever its angles change (construction and
+// set_parameters): every chunk, eval pass and served request between two
+// parameter updates reads the same gate matrices.
 #pragma once
 
 #include <memory>
@@ -35,6 +38,7 @@
 #include "data/dataset.h"
 #include "qsim/backend.h"
 #include "qsim/circuit.h"
+#include "qsim/executor.h"
 
 namespace qugeo::core {
 
@@ -61,7 +65,7 @@ class QuGeoModel {
   QuGeoModel(const ModelConfig& config, Rng& init_rng);
 
   [[nodiscard]] const ModelConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const QubitLayout& layout() const noexcept { return layout_; }
+  [[nodiscard]] const QubitLayout& layout() const noexcept { return *layout_; }
 
   /// Effective execution config (after environment overrides).
   [[nodiscard]] const qsim::ExecutionConfig& execution_config() const noexcept {
@@ -87,7 +91,7 @@ class QuGeoModel {
   }
 
   [[nodiscard]] const qsim::Circuit& ansatz() const noexcept { return ansatz_; }
-  [[nodiscard]] Index batch_size() const noexcept { return layout_.batch_size(); }
+  [[nodiscard]] Index batch_size() const noexcept { return layout_->batch_size(); }
 
   /// Quantum + classical trainable parameter counts.
   [[nodiscard]] std::size_t num_quantum_params() const { return ansatz_.num_params(); }
@@ -97,6 +101,7 @@ class QuGeoModel {
 
   /// Flat parameter view (quantum angles then classical decoder params).
   [[nodiscard]] std::vector<Real> parameters() const;
+  /// Replace every parameter and rebind the ansatz to the new angles.
   void set_parameters(std::span<const Real> params);
 
   /// Predict velocity maps for any number of samples; batching chunks are
@@ -137,11 +142,14 @@ class QuGeoModel {
 
   ModelConfig config_;
   qsim::ExecutionConfig exec_;
-  QubitLayout layout_;
+  /// On the heap: encoder_ and decoder_ point at it, and a move of the
+  /// model must not leave them pointing into the moved-from object.
+  std::unique_ptr<const QubitLayout> layout_;
   qsim::Circuit ansatz_;
   StEncoder encoder_;
   std::unique_ptr<Decoder> decoder_;
   std::vector<Real> theta_;
+  qsim::Binding binding_;  ///< the ansatz bound to theta_
 };
 
 }  // namespace qugeo::core

@@ -62,24 +62,22 @@ ExecutionConfig apply_env_overrides(ExecutionConfig base) {
 namespace {
 
 std::vector<Real> run_statevector(const Circuit& circuit,
-                                  std::span<const Real> params,
-                                  StateVector psi) {
-  run_circuit(circuit, params, psi);
+                                  const Binding& binding, StateVector psi) {
+  run_circuit(circuit, binding, psi);
   return psi.probabilities();
 }
 
-std::vector<Real> run_density(const Circuit& circuit,
-                              std::span<const Real> params,
+std::vector<Real> run_density(const Circuit& circuit, const Binding& binding,
                               const StateVector& initial_state,
                               const NoiseModel& noise) {
   DensityMatrix rho(initial_state.num_qubits());
   rho.set_from_state(initial_state);
-  run_circuit_density(circuit, params, rho, noise);
+  run_circuit_density(circuit, binding, rho, noise);
   return rho.probabilities();
 }
 
 std::vector<Real> run_trajectories(const Circuit& circuit,
-                                   std::span<const Real> params,
+                                   const Binding& binding,
                                    StateVector initial_state,
                                    const NoiseModel& noise,
                                    std::size_t trajectories,
@@ -88,7 +86,7 @@ std::vector<Real> run_trajectories(const Circuit& circuit,
   // run; skip the fan-out entirely (env-driven smoke runs pay one
   // statevector pass).
   if (noise.is_trivial())
-    return run_statevector(circuit, params, std::move(initial_state));
+    return run_statevector(circuit, binding, std::move(initial_state));
 
   // Trajectory fan-out over the shared pool. A fixed number of accumulation
   // slots (independent of the thread count) each sum a strided subset of
@@ -103,7 +101,7 @@ std::vector<Real> run_trajectories(const Circuit& circuit,
     for (std::size_t t = s; t < trajectories; t += slots) {
       StateVector psi = initial_state;
       Rng rng = trajectory_rng(seed, t);
-      run_circuit_noisy(circuit, params, psi, noise, rng);
+      run_circuit_noisy(circuit, binding, psi, noise, rng);
       const auto amps = psi.amplitudes();
       for (Index k = 0; k < dim; ++k) acc[k] += std::norm(amps[k]);
     }
@@ -124,13 +122,26 @@ std::vector<Real> run_probabilities(const ExecutionConfig& config,
                                     const Circuit& circuit,
                                     std::span<const Real> params,
                                     StateVector initial_state) {
+  return run_probabilities(config, circuit, Binding(circuit, params),
+                           std::move(initial_state));
+}
+
+std::vector<Real> run_probabilities(const ExecutionConfig& config,
+                                    const Circuit& circuit,
+                                    const Binding& binding,
+                                    StateVector initial_state) {
+  const Index num_qubits = initial_state.num_qubits();
+  if (num_qubits != circuit.num_qubits())
+    throw std::invalid_argument(
+        "run_probabilities: qubit count mismatch (state has " +
+        std::to_string(num_qubits) + ", circuit " +
+        std::to_string(circuit.num_qubits()) + ")");
   // The readout stage owns the readout error — it flips the sampled
   // outcomes — so the engine runs with it cleared to keep exactly one
   // realization of the channel.
   const bool readout_stage = config.shots > 0;
   NoiseModel noise = config.noise;
   if (readout_stage) noise.readout_error = 0;
-  const Index num_qubits = initial_state.num_qubits();
 
   BackendKind engine = config.backend;
   if (engine == BackendKind::kDensityMatrix &&
@@ -165,13 +176,13 @@ std::vector<Real> run_probabilities(const ExecutionConfig& config,
   std::vector<Real> probs;
   switch (engine) {
     case BackendKind::kStatevector:
-      probs = run_statevector(circuit, params, std::move(initial_state));
+      probs = run_statevector(circuit, binding, std::move(initial_state));
       break;
     case BackendKind::kDensityMatrix:
-      probs = run_density(circuit, params, initial_state, noise);
+      probs = run_density(circuit, binding, initial_state, noise);
       break;
     case BackendKind::kTrajectory:
-      probs = run_trajectories(circuit, params, std::move(initial_state),
+      probs = run_trajectories(circuit, binding, std::move(initial_state),
                                noise,
                                std::max<std::size_t>(config.trajectories, 1),
                                config.seed);

@@ -19,6 +19,7 @@
 
 #include "common/cpu_features.h"
 #include "qsim/circuit.h"
+#include "qsim/executor.h"
 #include "qsim/noise.h"
 #include "qsim/statevector.h"
 
@@ -105,6 +106,16 @@ struct ExecutionConfig {
 /// once) and estimates the probabilities from `shots` basis-state samples
 /// with the readout error flipping the sampled outcomes (qsim/shots.h).
 /// `config.seed` seeds the trajectory and shot streams.
+///
+/// Every engine runs from `binding` (qsim/executor.h): the trajectory
+/// engine's runs all share it. An `initial_state` whose width differs from
+/// the circuit's throws std::invalid_argument before any engine runs.
+[[nodiscard]] std::vector<Real> run_probabilities(const ExecutionConfig& config,
+                                                  const Circuit& circuit,
+                                                  const Binding& binding,
+                                                  StateVector initial_state);
+
+/// Bind, then run_probabilities.
 [[nodiscard]] std::vector<Real> run_probabilities(const ExecutionConfig& config,
                                                   const Circuit& circuit,
                                                   std::span<const Real> params,

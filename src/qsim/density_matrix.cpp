@@ -207,8 +207,14 @@ Real DensityMatrix::expect_z(Index q) const {
 
 void run_circuit_density(const Circuit& circuit, std::span<const Real> params,
                          DensityMatrix& rho, const NoiseModel& noise) {
+  run_circuit_density(circuit, Binding(circuit, params), rho, noise);
+}
+
+void run_circuit_density(const Circuit& circuit, const Binding& binding,
+                         DensityMatrix& rho, const NoiseModel& noise) {
   if (rho.num_qubits() != circuit.num_qubits())
     throw std::invalid_argument("run_circuit_density: qubit count mismatch");
+  check_binding(circuit, binding, "run_circuit_density");
   // The depolarizing channel keeps its dedicated in-place fast path; the
   // damping channels go through the generic Kraus application.
   const bool use_kraus = noise.has_gate_noise() &&
@@ -223,8 +229,9 @@ void run_circuit_density(const Circuit& circuit, std::span<const Real> params,
     else
       rho.depolarize(q, noise.gate_error_prob);
   };
-  for (const Op& op : circuit.ops()) {
-    const auto vals = Circuit::resolve_params(op, params);
+  const auto ops = circuit.ops();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
     switch (op.kind) {
       case GateKind::kSWAP:
         rho.apply_swap(op.qubits[0], op.qubits[1]);
@@ -233,8 +240,7 @@ void run_circuit_density(const Circuit& circuit, std::span<const Real> params,
       case GateKind::kCZ:
       case GateKind::kCRY:
       case GateKind::kCU3:
-        rho.apply_controlled_1q(gate_matrix(op.kind, vals), op.qubits[0],
-                                op.qubits[1]);
+        rho.apply_controlled_1q(binding.block(i), op.qubits[0], op.qubits[1]);
         break;
       case GateKind::kI:
       case GateKind::kX:
@@ -250,7 +256,7 @@ void run_circuit_density(const Circuit& circuit, std::span<const Real> params,
       case GateKind::kRZ:
       case GateKind::kPhase:
       case GateKind::kU3:
-        rho.apply_1q(gate_matrix(op.kind, vals), op.qubits[0]);
+        rho.apply_1q(binding.block(i), op.qubits[0]);
         break;
     }
     apply_gate_noise(op.qubits[0]);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "qsim/circuit.h"
+#include "qsim/executor.h"
 #include "qsim/noise.h"
 #include "qsim/statevector.h"
 
@@ -83,7 +84,11 @@ class DensityMatrix {
 /// qubit at the end. The post-run density therefore folds measurement
 /// error into the state exactly, which is equivalent for every diagonal
 /// observable (probabilities, <Z>). A default NoiseModel runs the circuit
-/// noiselessly.
+/// noiselessly. Gates come from the circuit's binding.
+void run_circuit_density(const Circuit& circuit, const Binding& binding,
+                         DensityMatrix& rho, const NoiseModel& noise);
+
+/// Bind, then run_circuit_density.
 void run_circuit_density(const Circuit& circuit, std::span<const Real> params,
                          DensityMatrix& rho, const NoiseModel& noise);
 

@@ -1,7 +1,9 @@
 #include "qsim/executor.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "common/cpu_features.h"
 #include "common/math_utils.h"
@@ -10,14 +12,11 @@
 namespace qugeo::qsim {
 namespace {
 
-/// Apply the (possibly controlled) 2x2 block `u` of gate `kind`. SWAP and
-/// identity are handled by the callers.
-void apply_block(GateKind kind, const Mat2& u, const std::array<Index, 2>& qubits,
-                 StateVector& psi) {
-  if (gate_is_controlled_1q(kind))
-    psi.apply_controlled_1q(u, qubits[0], qubits[1]);
-  else
-    psi.apply_1q(u, qubits[0]);
+/// gate_matrix of the op's resolved angles; SWAP has no block, and its
+/// entry is left zero.
+Mat2 resolved_block(const Op& op, std::span<const Real> params) {
+  if (op.kind == GateKind::kSWAP) return Mat2{};
+  return gate_matrix(op.kind, Circuit::resolve_params(op, params));
 }
 
 /// Scalar pair pass of the adjoint sweep for one parameterized gate. Over
@@ -90,42 +89,91 @@ Real re_contract(const Mat2& du, const Mat2& g) {
 
 }  // namespace
 
-void apply_op(const Op& op, std::span<const Real> params, StateVector& psi) {
-  if (op.kind == GateKind::kSWAP) {
-    psi.apply_swap(op.qubits[0], op.qubits[1]);
-    return;
+void check_binding(const Circuit& circuit, const Binding& binding,
+                   const char* who) {
+  if (binding.num_ops() != circuit.num_ops())
+    throw std::invalid_argument(std::string(who) +
+                                ": binding is not of this circuit");
+}
+
+bool has_trainable_slot(const Op& op) noexcept {
+  return op.param_ids[0] != kLiteralParam || op.param_ids[1] != kLiteralParam ||
+         op.param_ids[2] != kLiteralParam;
+}
+
+Binding::Binding(const Circuit& circuit, std::span<const Real> params) {
+  // Every parameter id is below num_params(), so one check here keeps
+  // resolve_params from throwing part-way through the loop.
+  if (params.size() < circuit.num_params())
+    throw std::invalid_argument(
+        "Binding: parameter table too small (" +
+        std::to_string(params.size()) + " values, circuit needs " +
+        std::to_string(circuit.num_params()) + ")");
+  const auto ops = circuit.ops();
+  blocks_.reserve(ops.size());
+  derivs_.reserve(static_cast<std::size_t>(
+      std::count_if(ops.begin(), ops.end(), has_trainable_slot)));
+  for (const Op& op : ops) {
+    if (!has_trainable_slot(op)) {
+      blocks_.push_back(resolved_block(op, params));
+      continue;
+    }
+    const GateDerivs d =
+        gate_matrix_derivs(op.kind, Circuit::resolve_params(op, params));
+    blocks_.push_back(d.u);
+    derivs_.push_back(d.du);
   }
-  if (op.kind == GateKind::kI) return;
-  const auto vals = Circuit::resolve_params(op, params);
-  apply_block(op.kind, gate_matrix(op.kind, vals), op.qubits, psi);
+}
+
+void apply_bound_op(const Op& op, const Mat2& u, StateVector& psi) {
+  if (op.kind == GateKind::kSWAP)
+    psi.apply_swap(op.qubits[0], op.qubits[1]);
+  else if (op.kind == GateKind::kI)
+    return;
+  else if (gate_is_controlled_1q(op.kind))
+    psi.apply_controlled_1q(u, op.qubits[0], op.qubits[1]);
+  else
+    psi.apply_1q(u, op.qubits[0]);
+}
+
+void apply_op(const Op& op, std::span<const Real> params, StateVector& psi) {
+  apply_bound_op(op, resolved_block(op, params), psi);
 }
 
 void apply_op_inverse(const Op& op, std::span<const Real> params,
                       StateVector& psi) {
-  if (op.kind == GateKind::kSWAP) {
-    psi.apply_swap(op.qubits[0], op.qubits[1]);
-    return;
-  }
-  if (op.kind == GateKind::kI) return;
-  const auto vals = Circuit::resolve_params(op, params);
-  apply_block(op.kind, dagger(gate_matrix(op.kind, vals)), op.qubits, psi);
+  apply_bound_op(op, dagger(resolved_block(op, params)), psi);
+}
+
+void run_circuit(const Circuit& circuit, const Binding& binding,
+                 StateVector& psi) {
+  if (psi.num_qubits() != circuit.num_qubits())
+    throw std::invalid_argument("run_circuit: qubit count mismatch");
+  check_binding(circuit, binding, "run_circuit");
+  const auto ops = circuit.ops();
+  for (std::size_t i = 0; i < ops.size(); ++i)
+    apply_bound_op(ops[i], binding.block(i), psi);
 }
 
 void run_circuit(const Circuit& circuit, std::span<const Real> params,
                  StateVector& psi) {
-  if (psi.num_qubits() != circuit.num_qubits())
-    throw std::invalid_argument("run_circuit: qubit count mismatch");
-  if (params.size() < circuit.num_params())
-    throw std::invalid_argument("run_circuit: parameter table too small");
-  for (const Op& op : circuit.ops()) apply_op(op, params, psi);
+  run_circuit(circuit, Binding(circuit, params), psi);
 }
 
 AdjointResult adjoint_backward(const Circuit& circuit,
                                std::span<const Real> params,
                                StateVector psi_out,
                                std::span<const Complex> cotangent) {
+  return adjoint_backward(circuit, Binding(circuit, params), std::move(psi_out),
+                          cotangent);
+}
+
+AdjointResult adjoint_backward(const Circuit& circuit, const Binding& binding,
+                               StateVector psi_out,
+                               std::span<const Complex> cotangent) {
   if (cotangent.size() != psi_out.dim())
     throw std::invalid_argument("adjoint_backward: cotangent size mismatch");
+  check_binding(circuit, binding, "adjoint_backward");
 
   AdjointResult result;
   result.param_grads.assign(circuit.num_params(), Real(0));
@@ -136,28 +184,28 @@ AdjointResult adjoint_backward(const Circuit& circuit,
   lambda.set_amplitudes(cotangent);
 
   const auto ops = circuit.ops();
+  std::size_t trainable = binding.num_trainable_ops();
   for (std::size_t i = ops.size(); i-- > 0;) {
     const Op& op = ops[i];
-    const bool has_trainable = op.param_ids[0] != kLiteralParam ||
-                               op.param_ids[1] != kLiteralParam ||
-                               op.param_ids[2] != kLiteralParam;
-    if (!has_trainable) {
+    const Mat2 ud = dagger(binding.block(i));
+    if (!has_trainable_slot(op)) {
       // psi_out equals psi after op i: rewind both states past it.
-      apply_op_inverse(op, params, psi_out);
-      apply_op_inverse(op, params, lambda);
+      apply_bound_op(op, ud, psi_out);
+      apply_bound_op(op, ud, lambda);
       continue;
     }
     // One pass over the gate's index pairs rewinds psi_out to psi_{i-1} and
     // lambda to U^dagger lambda_i, and yields G(a, b) =
     // sum conj(lambda_i,a) psi_{i-1},b, so each slot's
     // dL/dtheta = 2 Re <lambda_i| dU |psi_{i-1}> = 2 Re sum_ab dU_ab G_ab.
-    const auto vals = Circuit::resolve_params(op, params);
-    const GateDerivs d = gate_matrix_derivs(op.kind, vals);
-    const Mat2 g = adjoint_sweep(op.kind, op.qubits, dagger(d.u), psi_out, lambda);
+    if (trainable == 0)
+      throw std::invalid_argument("adjoint_backward: binding is not of this circuit");
+    const std::array<Mat2, 3>& du = binding.derivs(--trainable);
+    const Mat2 g = adjoint_sweep(op.kind, op.qubits, ud, psi_out, lambda);
     for (std::size_t slot = 0; slot < 3; ++slot) {
       const std::uint32_t pid = op.param_ids[slot];
       if (pid != kLiteralParam)
-        result.param_grads[pid] += 2 * re_contract(d.du[slot], g);
+        result.param_grads[pid] += 2 * re_contract(du[slot], g);
     }
   }
 

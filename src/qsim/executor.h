@@ -1,5 +1,11 @@
 // Circuit execution and reverse-mode (adjoint) differentiation.
 //
+// Every engine runs from a Binding: each op's 2x2 block, and the slot
+// derivatives of each op with a trainable angle, computed once per
+// parameter table. A model binds once per parameter update, and every
+// chunk, eval pass and served request until the next update runs from
+// that binding. The `(circuit, params)` forms bind, then run.
+//
 // The backward pass follows the standard adjoint-state method for unitary
 // programs: starting from the cotangent lambda_k = dL/d(conj(psi_k)) at the
 // output, gates are un-applied one at a time; at each parameterized gate the
@@ -13,6 +19,7 @@
 // is O(2^n) regardless of depth, without storing intermediate states.
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -21,10 +28,56 @@
 
 namespace qugeo::qsim {
 
-/// Run the circuit forward on `psi` (in place), resolving trainable angles
-/// against `params` (must have length >= circuit.num_params()).
+/// The 2x2 blocks of one circuit's ops under one parameter table. It holds
+/// matrices only, no reference to the circuit, so it stays valid when the
+/// circuit's owner moves; an engine checks it against the circuit it runs
+/// by op count.
+class Binding {
+ public:
+  /// The bind step: resolve every op of `circuit` against `params` and
+  /// compute its block, by gate_matrix for a literal op and by
+  /// gate_matrix_derivs for an op with a trainable slot. Throws
+  /// std::invalid_argument when `params` is shorter than
+  /// circuit.num_params(), before any engine touches a state.
+  Binding(const Circuit& circuit, std::span<const Real> params);
+
+  /// Op i's 2x2 block: gate_matrix of its resolved angles, taken from
+  /// GateDerivs::u (bitwise the same) for an op with a trainable slot.
+  /// Unused for SWAP, which has no block form.
+  [[nodiscard]] const Mat2& block(std::size_t op) const { return blocks_[op]; }
+  /// GateDerivs::du of the k-th op with a trainable slot, in op order.
+  [[nodiscard]] const std::array<Mat2, 3>& derivs(std::size_t k) const {
+    return derivs_[k];
+  }
+  [[nodiscard]] std::size_t num_ops() const noexcept { return blocks_.size(); }
+  [[nodiscard]] std::size_t num_trainable_ops() const noexcept {
+    return derivs_.size();
+  }
+
+ private:
+  std::vector<Mat2> blocks_;
+  std::vector<std::array<Mat2, 3>> derivs_;
+};
+
+/// True when any angle of `op` reads the parameter table.
+[[nodiscard]] bool has_trainable_slot(const Op& op) noexcept;
+
+/// Throws std::invalid_argument naming `who` unless `binding` has one block
+/// per op of `circuit`; every bound engine checks this on entry.
+void check_binding(const Circuit& circuit, const Binding& binding,
+                   const char* who);
+
+/// Run the circuit forward on `psi` (in place) from its binding.
+void run_circuit(const Circuit& circuit, const Binding& binding,
+                 StateVector& psi);
+
+/// Bind, then run_circuit.
 void run_circuit(const Circuit& circuit, std::span<const Real> params,
                  StateVector& psi);
+
+/// Apply op with its bound block `u` on `psi`: the one dispatch every
+/// statevector step runs on (SWAP ignores `u`, identity is skipped).
+void apply_bound_op(const Op& op, const Mat2& u, StateVector& psi);
 
 /// Apply a single op forward on `psi`.
 void apply_op(const Op& op, std::span<const Real> params, StateVector& psi);
@@ -42,11 +95,17 @@ struct AdjointResult {
   std::vector<Complex> input_cotangent;
 };
 
-/// Reverse-mode differentiation through `circuit`.
+/// Reverse-mode differentiation through `circuit`, from its binding.
 ///
 /// @param psi_out     the state *after* running the circuit (is consumed as
 ///                    scratch; pass a copy if it must survive).
 /// @param cotangent   lambda_k = dL/d(conj(psi_k)) evaluated at psi_out.
+[[nodiscard]] AdjointResult adjoint_backward(const Circuit& circuit,
+                                             const Binding& binding,
+                                             StateVector psi_out,
+                                             std::span<const Complex> cotangent);
+
+/// Bind, then adjoint_backward.
 [[nodiscard]] AdjointResult adjoint_backward(const Circuit& circuit,
                                              std::span<const Real> params,
                                              StateVector psi_out,

@@ -137,6 +137,14 @@ Rng trajectory_rng(std::uint64_t seed, std::size_t trajectory) {
 
 void run_circuit_noisy(const Circuit& circuit, std::span<const Real> params,
                        StateVector& psi, const NoiseModel& noise, Rng& rng) {
+  run_circuit_noisy(circuit, Binding(circuit, params), psi, noise, rng);
+}
+
+void run_circuit_noisy(const Circuit& circuit, const Binding& binding,
+                       StateVector& psi, const NoiseModel& noise, Rng& rng) {
+  if (psi.num_qubits() != circuit.num_qubits())
+    throw std::invalid_argument("run_circuit_noisy: qubit count mismatch");
+  check_binding(circuit, binding, "run_circuit_noisy");
   if (noise.has_gate_noise()) {
     // The Kraus set depends only on (channel, p): build it once for the
     // whole circuit instead of per gate touch (the depolarizing path
@@ -151,13 +159,14 @@ void run_circuit_noisy(const Circuit& circuit, std::span<const Real> params,
       else
         kraus_jump(psi, kraus, q, rng);
     };
-    for (const Op& op : circuit.ops()) {
-      apply_op(op, params, psi);
-      sample_channel(op.qubits[0]);
-      if (gate_qubit_count(op.kind) == 2) sample_channel(op.qubits[1]);
+    const auto ops = circuit.ops();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      apply_bound_op(ops[i], binding.block(i), psi);
+      sample_channel(ops[i].qubits[0]);
+      if (gate_qubit_count(ops[i].kind) == 2) sample_channel(ops[i].qubits[1]);
     }
   } else {
-    run_circuit(circuit, params, psi);
+    run_circuit(circuit, binding, psi);
   }
   apply_readout_trajectory(psi, noise.readout_error, rng);
 }

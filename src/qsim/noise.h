@@ -26,6 +26,7 @@
 
 #include "common/rng.h"
 #include "qsim/circuit.h"
+#include "qsim/executor.h"
 #include "qsim/statevector.h"
 
 namespace qugeo::qsim {
@@ -83,12 +84,17 @@ struct NoiseModel {
 /// thread runs it or how many trajectories run beside it.
 [[nodiscard]] Rng trajectory_rng(std::uint64_t seed, std::size_t trajectory);
 
-/// Run one noisy trajectory of the circuit on `psi` (in place): after
-/// every gate touch, the gate channel (mixed-unitary channels insert a
-/// random Pauli, general channels take a Kraus jump K_k with probability
-/// ||K_k psi||^2 and renormalize); once at the end, the readout bit-flip
-/// (X with probability e per qubit). The trajectory backend of
-/// run_probabilities (backend.h) averages these runs.
+/// Run one noisy trajectory of the circuit on `psi` (in place) from its
+/// binding: after every gate touch, the gate channel (mixed-unitary
+/// channels insert a random Pauli, general channels take a Kraus jump K_k
+/// with probability ||K_k psi||^2 and renormalize); once at the end, the
+/// readout bit-flip (X with probability e per qubit). The trajectory
+/// backend of run_probabilities (backend.h) averages these runs. Throws
+/// std::invalid_argument when `psi` and the circuit differ in width.
+void run_circuit_noisy(const Circuit& circuit, const Binding& binding,
+                       StateVector& psi, const NoiseModel& noise, Rng& rng);
+
+/// Bind, then run_circuit_noisy.
 void run_circuit_noisy(const Circuit& circuit, std::span<const Real> params,
                        StateVector& psi, const NoiseModel& noise, Rng& rng);
 

@@ -4,6 +4,7 @@
 // bit-identical for QUGEO_THREADS=1 and QUGEO_THREADS=4.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -164,6 +165,33 @@ TEST(Parallel, ExceptionsPropagateAndPoolSurvives) {
   for (std::size_t i = 0; i < hits.size(); ++i)
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   set_num_threads(0);
+}
+
+TEST(Parallel, ResizeWhileWorkersSpinThenBackToBackFanOuts) {
+  // Right after a fan-out the workers poll for the next one before they
+  // block; resizing the pool then must stop and restart them cleanly.
+  // Back-to-back small fan-outs then hand off through that poll, and each
+  // must still run every iteration exactly once.
+  const auto tiny_fan_out = [] {
+    std::atomic<int> calls{0};
+    parallel_for(0, 4, [&](std::size_t) { calls.fetch_add(1); });
+    return calls.load();
+  };
+  for (std::size_t threads : {std::size_t{4}, std::size_t{2}, std::size_t{3},
+                              std::size_t{1}, std::size_t{4}}) {
+    set_num_threads(threads);
+    ASSERT_EQ(tiny_fan_out(), 4) << threads << " threads";
+  }
+  constexpr std::size_t kFanOuts = 1000;
+  std::vector<std::array<std::atomic<int>, 4>> hits(kFanOuts);
+  for (std::size_t f = 0; f < kFanOuts; ++f)
+    parallel_for(0, 4, [&](std::size_t i) {
+      hits[f][i].fetch_add(1, std::memory_order_relaxed);
+    });
+  set_num_threads(0);
+  for (std::size_t f = 0; f < kFanOuts; ++f)
+    for (std::size_t i = 0; i < 4; ++i)
+      ASSERT_EQ(hits[f][i].load(), 1) << "fan-out " << f << ", index " << i;
 }
 
 std::uint64_t bits_of(Real v) {

@@ -3,9 +3,13 @@
 // differences.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "common/cpu_features.h"
 #include "common/parallel.h"
 #include "core/model.h"
+#include "qsim/executor.h"
 
 namespace qugeo::core {
 namespace {
@@ -209,6 +213,76 @@ TEST(Model, GradCheckTwoGroupLayout) {
     model.set_parameters(params);
     EXPECT_NEAR(grads[i], (lp - lm) / (2 * eps), 1e-5) << "param " << i;
   }
+}
+
+/// What predict must return for `samples`: each sample encoded alone,
+/// qsim::run_circuit on the ansatz with `params`' angles, decoded by a
+/// fresh decoder carrying `params`' classical tail.
+std::vector<std::vector<Real>> predict_by_hand(
+    const QuGeoModel& model, std::span<const Real> params,
+    std::span<const data::ScaledSample* const> samples) {
+  const ModelConfig& mc = model.config();
+  const auto decoder =
+      make_decoder(mc.decoder, model.layout(), mc.vel_rows, mc.vel_cols);
+  const std::size_t nq = model.num_quantum_params();
+  for (std::size_t i = 0; i < decoder->num_classical_params(); ++i)
+    decoder->set_classical_param(i, params[nq + i]);
+  const StEncoder encoder(model.layout());
+  std::vector<std::vector<Real>> out;
+  for (const data::ScaledSample* s : samples) {
+    const std::vector<Real>* wave = &s->waveform;
+    qsim::StateVector psi =
+        encoder.encode(std::span<const std::vector<Real>* const>(&wave, 1));
+    qsim::run_circuit(model.ansatz(), params.first(nq), psi);
+    out.push_back(decoder->decode(psi).predictions[0]);
+  }
+  return out;
+}
+
+void expect_bitwise(const std::vector<std::vector<Real>>& got,
+                    const std::vector<std::vector<Real>>& want,
+                    const char* when) {
+  ASSERT_EQ(got.size(), want.size()) << when;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << when;
+    EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                          got[i].size() * sizeof(Real)),
+              0)
+        << when << ", sample " << i;
+  }
+}
+
+TEST(Model, PredictReadsTheAnglesOfTheLastSetParametersAcrossMoves) {
+  // The model runs the ansatz from a binding it keeps: one left stale by
+  // set_parameters, or left behind by a move, would read other angles.
+  Rng rng(12);
+  QuGeoModel model(small_config(DecoderKind::kLayer), rng);
+  model.set_execution_config(qsim::ExecutionConfig{});  // exact statevector
+  std::vector<data::ScaledSample> samples;
+  for (int i = 0; i < 3; ++i) samples.push_back(random_sample(8, 6, rng));
+  std::vector<const data::ScaledSample*> ptrs;
+  for (const auto& s : samples) ptrs.push_back(&s);
+
+  std::vector<Real> params = model.parameters();
+  expect_bitwise(model.predict(ptrs), predict_by_hand(model, params, ptrs),
+                 "after construction");
+  rng.fill_uniform(params, -2, 2);
+  model.set_parameters(params);
+  expect_bitwise(model.predict(ptrs), predict_by_hand(model, params, ptrs),
+                 "after set_parameters");
+
+  QuGeoModel moved(std::move(model));
+  expect_bitwise(moved.predict(ptrs), predict_by_hand(moved, params, ptrs),
+                 "after a move construction");
+  Rng other_rng(13);
+  QuGeoModel target(small_config(DecoderKind::kLayer), other_rng);
+  target = std::move(moved);
+  expect_bitwise(target.predict(ptrs), predict_by_hand(target, params, ptrs),
+                 "after a move assignment");
+  rng.fill_uniform(params, -2, 2);
+  target.set_parameters(params);
+  expect_bitwise(target.predict(ptrs), predict_by_hand(target, params, ptrs),
+                 "after set_parameters on the moved model");
 }
 
 TEST(Model, RejectsWrongChunkSize) {

@@ -275,6 +275,57 @@ TEST(Backend, FactorySubstitutesStatevectorForOversizedNoiselessDensity) {
                std::invalid_argument);
 }
 
+/// Trajectory-backend config whose gate noise makes it run every
+/// trajectory through run_circuit_noisy.
+ExecutionConfig noisy_trajectories() {
+  ExecutionConfig cfg;
+  cfg.backend = BackendKind::kTrajectory;
+  cfg.noise.gate_error_prob = 0.05;
+  cfg.trajectories = 8;
+  return cfg;
+}
+
+TEST(Backend, EveryEngineRejectsAStateNarrowerThanItsCircuit) {
+  // A 6-qubit circuit run on a 2-qubit state must throw before any kernel
+  // indexes past the state's amplitudes.
+  Circuit c(6);
+  for (Index q = 0; q < 6; ++q) c.u3(q, 0.3, -0.2, 0.1 * static_cast<Real>(q));
+  ExecutionConfig density;
+  density.backend = BackendKind::kDensityMatrix;
+  density.noise.gate_error_prob = 0.05;
+  for (const ExecutionConfig& cfg :
+       {ExecutionConfig{}, density, noisy_trajectories()})
+    EXPECT_THROW((void)run_probabilities(cfg, c, {}, StateVector(2)),
+                 std::invalid_argument)
+        << backend_name(cfg.backend);
+  StateVector psi(2);
+  Rng rng(1);
+  EXPECT_THROW(run_circuit_noisy(c, {}, psi, noisy_trajectories().noise, rng),
+               std::invalid_argument);
+}
+
+TEST(Backend, ShortParameterTableThrowsInvalidArgumentFromEveryEngine) {
+  // One typed error, raised by bind before any state is touched, whichever
+  // engine (or the adjoint) runs the circuit.
+  Circuit c(2);
+  c.h(0);
+  c.u3(0, c.new_params(3));
+  c.cu3(0, 1, c.new_params(3));
+  const std::vector<Real> short_table(c.num_params() - 1, 0.2);
+  ExecutionConfig density;
+  density.backend = BackendKind::kDensityMatrix;
+  density.noise.gate_error_prob = 0.05;
+  for (const ExecutionConfig& cfg :
+       {ExecutionConfig{}, density, noisy_trajectories()})
+    EXPECT_THROW((void)run_probabilities(cfg, c, short_table, StateVector(2)),
+                 std::invalid_argument)
+        << backend_name(cfg.backend);
+  const StateVector psi(2);
+  EXPECT_THROW((void)adjoint_backward(c, short_table, psi,
+                                      std::vector<Complex>(psi.dim())),
+               std::invalid_argument);
+}
+
 TEST(Backend, EnvOverridesAreApplied) {
   ::setenv("QUGEO_BACKEND", "density", 1);
   ::setenv("QUGEO_NOISE_P", "0.015", 1);

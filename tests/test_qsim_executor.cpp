@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "qsim/encoding.h"
 #include "qsim/executor.h"
@@ -102,6 +104,134 @@ TEST(Executor, InverseUndoesCircuit) {
   const auto ops = c.ops();
   for (std::size_t i = ops.size(); i-- > 0;) apply_op_inverse(ops[i], params, psi);
   EXPECT_NEAR(psi.fidelity(original), 1.0, 1e-12);
+}
+
+bool same_bits(const Mat2& a, const Mat2& b) {
+  return std::memcmp(a.m.data(), b.m.data(), sizeof(a.m)) == 0;
+}
+
+/// Every gate kind a Circuit can hold, with literal angles and, for the
+/// parameterized kinds, with trainable slots (all three, and a U3 that
+/// mixes trainable and literal slots). No builder emits kI, so it has no
+/// op here. Angles cycle through `angles`; so does the parameter table
+/// `params` is resized to.
+Circuit every_kind_circuit(std::span<const Real> angles,
+                           std::vector<Real>& params) {
+  const auto a = [&](std::size_t k) { return angles[k % angles.size()]; };
+  Circuit c(3);
+  c.x(0);
+  c.y(1);
+  c.z(2);
+  c.h(0);
+  c.s(1);
+  c.sdg(2);
+  c.t(0);
+  c.tdg(1);
+  c.cx(0, 1);
+  c.cz(1, 2);
+  c.swap(2, 0);
+  c.rx(0, a(0));
+  c.ry(1, a(1));
+  c.rz(2, a(2));
+  c.phase(0, a(3));
+  c.u3(1, a(4), a(5), a(6));
+  c.cry(0, 2, a(7));
+  c.cu3(2, 1, a(8), a(9), a(10));
+  c.rx(1, c.new_param());
+  c.ry(2, c.new_param());
+  c.rz(0, c.new_param());
+  c.phase(1, c.new_param());
+  c.u3(2, c.new_params(3));
+  c.cry(1, 0, c.new_param());
+  c.cu3(0, 2, c.new_params(3));
+  c.u3(0, {c.new_param(), ParamRef{}, c.new_param()}, {0, a(11), 0});
+  params.resize(c.num_params());
+  for (std::size_t k = 0; k < params.size(); ++k) params[k] = a(k + 5);
+  return c;
+}
+
+/// Random angles, signed zeros, and angles far outside [-2 pi, 2 pi].
+std::vector<std::vector<Real>> binding_angle_sets() {
+  Rng rng(29);
+  std::vector<Real> random(13);
+  rng.fill_uniform(random, -4, 4);
+  return {random,
+          {0.0, -0.0},
+          {-0.0, 0.0, -0.0},
+          {1e8, -2.5e12, 7.25e15, -3e19, 1e300, -0.0, 123456.789}};
+}
+
+TEST(Binding, BlocksAreBitwiseGateMatrixAndDerivs) {
+  for (const std::vector<Real>& angles : binding_angle_sets()) {
+    std::vector<Real> params;
+    const Circuit c = every_kind_circuit(angles, params);
+    const Binding b(c, params);
+    ASSERT_EQ(b.num_ops(), c.num_ops());
+    std::size_t trainable = 0;
+    for (std::size_t i = 0; i < c.num_ops(); ++i) {
+      const Op& op = c.ops()[i];
+      if (op.kind == GateKind::kSWAP) continue;  // no block form
+      const auto vals = Circuit::resolve_params(op, params);
+      EXPECT_TRUE(same_bits(b.block(i), gate_matrix(op.kind, vals)))
+          << "op " << i << " (" << gate_name(op.kind) << ")";
+      if (!has_trainable_slot(op)) continue;
+      const GateDerivs d = gate_matrix_derivs(op.kind, vals);
+      EXPECT_TRUE(same_bits(b.block(i), d.u)) << "op " << i;
+      ASSERT_LT(trainable, b.num_trainable_ops());
+      for (std::size_t slot = 0; slot < 3; ++slot)
+        EXPECT_TRUE(same_bits(b.derivs(trainable)[slot], d.du[slot]))
+            << "op " << i << " slot " << slot;
+      ++trainable;
+    }
+    EXPECT_EQ(trainable, b.num_trainable_ops());
+  }
+}
+
+TEST(Binding, BoundForwardIsBitwiseThePerOpLoop) {
+  for (simd::SimdMode mode : {simd::SimdMode::kScalar, simd::SimdMode::kAvx2}) {
+    const simd::ScopedSimdMode scoped(mode);
+    for (const std::vector<Real>& angles : binding_angle_sets()) {
+      std::vector<Real> params;
+      const Circuit c = every_kind_circuit(angles, params);
+      Rng rng(31);
+      const StateVector psi_in = random_input(3, rng);
+      StateVector bound = psi_in;
+      run_circuit(c, Binding(c, params), bound);
+      StateVector per_op = psi_in;
+      for (const Op& op : c.ops()) apply_op(op, params, per_op);
+      EXPECT_EQ(std::memcmp(bound.amplitudes().data(),
+                            per_op.amplitudes().data(),
+                            bound.dim() * sizeof(Complex)),
+                0)
+          << simd::simd_mode_name(mode);
+    }
+    // kI, which no circuit holds: the bound dispatch skips it as apply_op
+    // does.
+    Op id;
+    id.kind = GateKind::kI;
+    Rng rng(37);
+    const StateVector psi_in = random_input(2, rng);
+    StateVector bound = psi_in;
+    apply_bound_op(id, gate_matrix(GateKind::kI, {}), bound);
+    StateVector per_op = psi_in;
+    apply_op(id, {}, per_op);
+    EXPECT_EQ(std::memcmp(bound.amplitudes().data(), per_op.amplitudes().data(),
+                          bound.dim() * sizeof(Complex)),
+              0);
+  }
+}
+
+TEST(Binding, RejectsABindingOfAnotherCircuit) {
+  Circuit small(2), large(2);
+  small.h(0);
+  large.h(0);
+  large.cx(0, 1);
+  const Binding b(small, {});
+  StateVector psi(2);
+  EXPECT_THROW(run_circuit(large, b, psi), std::invalid_argument);
+  EXPECT_THROW((void)adjoint_backward(large, b, psi,
+                                      std::vector<Complex>(psi.dim())),
+               std::invalid_argument);
 }
 
 TEST(AdjointBackward, SingleRYAnalytic) {
